@@ -114,7 +114,8 @@ class RunConfig:
             patience=self.patience,
             sequence_length=self.sequence_length,
             block_mix_ratio=self.block_mix_ratio,
-            threshold=self.threshold)
+            threshold=self.threshold,
+            grid=self.feature_config().grid)
 
     def to_json(self) -> str:
         payload = dataclasses.asdict(self)

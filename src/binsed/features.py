@@ -18,7 +18,7 @@ from .errors import DataError
 from .layout import FeatureLayout, FeatureMatrix, hstack_features
 from .melbank import build_mel_filterbank, extract_log_mel
 from .pitch import extract_pitch
-from .tdoa import TdoaConfig, extract_tdoa
+from .tdoa import TdoaConfig, collapse_windows, extract_tdoa
 
 _CHANNEL_FAMILIES = ("mel", "pitch", "pitch3")
 _STEREO_FAMILIES = ("tdoa", "tdoa3")
@@ -134,11 +134,17 @@ def extract_block_values(clip: AudioClip, tokens: list[str],
 
     filterbank = build_mel_filterbank(config.mel_bands, fft_size,
                                       clip.sample_rate)
+    delays: dict[str, np.ndarray] = {}
+    if any(s.family in _STEREO_FAMILIES for s in specs):
+        # Both delay variants come from one (frames, windows, bands) stack.
+        tdoa3 = extract_tdoa(clip, variant="tdoa3", config=config.tdoa,
+                             grid=config.grid).values
+        delays = {"tdoa3": tdoa3,
+                  "tdoa": collapse_windows(tdoa3, config.tdoa.band_count)}
     out = {}
     for spec in specs:
         if spec.family in _STEREO_FAMILIES:
-            values = extract_tdoa(clip, variant=spec.family, config=config.tdoa,
-                                  grid=config.grid).values
+            values = delays[spec.family]
         else:
             channel_specs = ([get_mono()] if spec.channels == 1
                              else list(get_stereo()))

@@ -312,6 +312,7 @@ def evaluate_context(config: RunConfig, data: ContextData,
     flag) plus the per-fold counts.
     """
     features = features or data.features
+    grid = config.feature_config().grid
     folds = context_folds(config, data)
     per_fold = []
     for split in folds:
@@ -337,7 +338,7 @@ def evaluate_context(config: RunConfig, data: ContextData,
                                  data.class_order,
                                  threshold=config.threshold,
                                  sequence_length=config.sequence_length)
-            counts.append(score(data.rolls[name], system))
+            counts.append(score(data.rolls[name], system, grid))
         fold_counts = SegmentCounts()
         for c in counts:
             fold_counts = fold_counts + c

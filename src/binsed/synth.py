@@ -16,7 +16,7 @@ e.g. ``dog 0-1 +6 2.0 4.5 noise`` or ``beep 2-4 -3 1.0 3.0 tone 440``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,6 +115,40 @@ def _render_source(event: PlannedEvent, sample_count: int, sample_rate: int,
     return source * event.amplitude
 
 
+def _sample_span(event: PlannedEvent, sample_count: int,
+                 sample_rate: int) -> tuple[int, int]:
+    """First sample and sample count of an event's channel-1 copy."""
+    start = int(round(event.onset * sample_rate))
+    length = int(round((event.offset - event.onset) * sample_rate))
+    return start, min(length, sample_count - start)
+
+
+def _delayed_copy_fits(event: PlannedEvent, sample_count: int,
+                       sample_rate: int) -> bool:
+    start, length = _sample_span(event, sample_count, sample_rate)
+    start2 = start + event.delay
+    return length <= 0 or (start2 >= 0 and start2 + length <= sample_count)
+
+
+def _shift_inside(event: PlannedEvent, duration: float,
+                  sample_rate: int) -> PlannedEvent:
+    """Move an event whose delayed copy would cross a clip edge inward by
+    the fewest whole milliseconds that make it fit, clamped to the scene.
+
+    Events that already fit come back unchanged.
+    """
+    sample_count = int(round(duration * sample_rate))
+    step = -0.001 if event.delay > 0 else 0.001
+    shifted, millis = event, 0
+    while not _delayed_copy_fits(shifted, sample_count, sample_rate):
+        millis += 1
+        shifted = replace(
+            event,
+            onset=max(round(event.onset + step * millis, 3), 0.0),
+            offset=min(round(event.offset + step * millis, 3), duration))
+    return shifted
+
+
 def synthesize_scene(plan: list[PlannedEvent], duration: float,
                      sample_rate: int = 16000,
                      config: TdoaConfig | None = None,
@@ -142,16 +176,14 @@ def synthesize_scene(plan: list[PlannedEvent], duration: float,
                             f"[{event.onset}, {event.offset}] outside the scene")
         f_lo = max(float(edges[event.band_lo]), 15.0)
         f_hi = float(edges[event.band_hi + 2])
-        start = int(round(event.onset * sample_rate))
-        length = int(round((event.offset - event.onset) * sample_rate))
-        length = min(length, sample_count - start)
+        start, length = _sample_span(event, sample_count, sample_rate)
         if length <= 0:
             continue
         source = _render_source(event, length, sample_rate, f_lo, f_hi, rng)
-        start2 = start + event.delay
-        if start2 < 0 or start2 + length > sample_count:
+        if not _delayed_copy_fits(event, sample_count, sample_rate):
             raise DataError(f"event {event.label!r}: delayed copy runs past "
                             "the clip boundary")
+        start2 = start + event.delay
         buffers[0, start:start + length] += source
         buffers[1, start2:start2 + length] += source
     peak = np.max(np.abs(buffers))
@@ -237,13 +269,19 @@ def generate_dataset(data_root, context: str, classes: list[SynthClass],
                      events_per_class: tuple[int, int] = (1, 3),
                      event_length: tuple[float, float] = (1.0, 4.0),
                      config: TdoaConfig | None = None) -> list[str]:
-    """Render a whole context of random recordings; returns recording names."""
+    """Render a whole context of random recordings; returns recording names.
+
+    A random event can end flush with a clip edge, where its delayed copy
+    would not fit; such events are shifted inward (``_shift_inside``).
+    """
     names = []
     for index in range(recording_count):
         rng = np.random.default_rng([seed, index])
-        plan = random_scene_plan(classes, duration, rng,
-                                 events_per_class=events_per_class,
-                                 event_length=event_length)
+        plan = [_shift_inside(event, duration, sample_rate)
+                for event in random_scene_plan(
+                    classes, duration, rng,
+                    events_per_class=events_per_class,
+                    event_length=event_length)]
         name = f"rec{index:03d}"
         scene = synthesize_scene(plan, duration, sample_rate, config=config,
                                  rng=rng, recording=name, context=context)

@@ -3,7 +3,7 @@ with phase transform (GCC-PHAT) weighting.
 
 For a stereo frame the cross-power spectrum is whitened bin-wise,
 
-    G(k) = X1(k) * conj(X2(k)) / (|X1(k)| * |X2(k)|),
+    G(k) = X1(k) * conj(X2(k)) / |X1(k) * conj(X2(k))|,
 
 then weighted by a triangular mel band response H_b and correlated over
 integer lags:
@@ -13,14 +13,24 @@ integer lags:
 The emitted delay is argmax_delta |R_b(delta)| restricted to
 [-max_lag, +max_lag]; exact ties prefer the smaller |delta| and then the
 negative sign.  Positive delays mean channel 2 lags channel 1.  Bins whose
-magnitude product falls below a floor contribute nothing, so silent frames
-deterministically emit 0.
+cross-spectrum magnitude falls below a floor contribute nothing, so silent
+frames deterministically emit 0.
+
+R_b is evaluated only at the 2 * max_lag + 1 candidate lags, not by a
+full-length inverse FFT: over the one-sided bins where H_b is non-zero, the
+real and imaginary parts of G multiply a precomputed real basis that folds
+in H_b, the one-sided factor (1 at DC and Nyquist, 2 elsewhere) and
+cos / sin of 2 * pi * k * delta / N.  That is the value irfft would put at
+index -delta mod N, so one matmul per band replaces an N-point transform
+of which only a few dozen outputs were ever read.
 
 Delays are estimated independently over three analysis window lengths
-centred on the common 20 ms feature hop.  The ``tdoa3`` variant emits all
-three per band; the ``tdoa`` variant takes the per-band median across the
-windows and then smooths each band with a temporal median filter of
-length 3 (truncated at the clip edges).
+centred on the common 20 ms feature hop, giving one (frames, windows,
+bands) stack per recording.  The ``tdoa3`` variant emits all three per
+band; the ``tdoa`` variant is derived from it by ``collapse_windows``: the
+per-band median across the windows, then a temporal median filter of
+length 3 (truncated at the clip edges).  Callers needing both variants
+compute the stack once and collapse it.
 """
 
 from __future__ import annotations
@@ -63,8 +73,8 @@ def max_delay_samples(mic_spacing_m: float, sample_rate: int,
     return int(math.ceil(mic_spacing_m / speed_of_sound * sample_rate))
 
 
-def _lag_order(max_lag: int, fft_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate lags ordered 0, -1, +1, -2, +2, ... and their irfft indices.
+def _lag_order(max_lag: int, fft_size: int) -> np.ndarray:
+    """Candidate lags ordered 0, -1, +1, -2, +2, ...
 
     Ordering encodes the tie break: numpy's argmax keeps the first of equal
     values, so smaller |delta| wins, then the negative sign.
@@ -74,38 +84,76 @@ def _lag_order(max_lag: int, fft_size: int) -> tuple[np.ndarray, np.ndarray]:
     offsets = [0]
     for d in range(1, max_lag + 1):
         offsets.extend((-d, d))
-    offsets = np.array(offsets, dtype=np.int64)
-    # R(delta) lives at irfft index (-delta) mod N.
-    indices = (-offsets) % fft_size
-    return offsets, indices
+    return np.array(offsets, dtype=np.int64)
 
 
 def _phat_cross_spectrum(bins1: np.ndarray, bins2: np.ndarray,
-                         floor: float) -> np.ndarray:
+                         floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened cross-spectrum as contiguous (real, imaginary) float arrays."""
     cross = bins1 * np.conj(bins2)
-    magnitude = np.abs(bins1) * np.abs(bins2)
+    magnitude = np.abs(cross)
     live = magnitude > floor
-    out = np.zeros_like(cross)
-    np.divide(cross, magnitude, out=out, where=live)
-    return out
+    real = np.zeros(cross.shape)
+    imag = np.zeros(cross.shape)
+    np.divide(cross.real, magnitude, out=real, where=live)
+    np.divide(cross.imag, magnitude, out=imag, where=live)
+    return real, imag
+
+
+@dataclass(frozen=True)
+class _LagBasis:
+    """Evaluates one band's R_b at the candidate lags from bins lo:hi."""
+
+    lo: int
+    hi: int
+    real: np.ndarray             # (hi - lo, lags), multiplies Re G
+    imag: np.ndarray             # (hi - lo, lags), multiplies Im G
+
+
+def _lag_bases(weights: np.ndarray, fft_size: int,
+               offsets: np.ndarray) -> list[_LagBasis]:
+    """One basis per band row of ``weights`` (bands, fft_size // 2 + 1).
+
+    Column j of a basis gives irfft(G * H_b, n=fft_size)[-offsets[j] mod N]
+    as Re G . real[:, j] + Im G . imag[:, j], restricted to the band's
+    non-zero bins.  Like irfft, it ignores Im G at DC and Nyquist.
+    """
+    bases = []
+    for band_weights in weights:
+        live = np.flatnonzero(band_weights)
+        lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+        k = np.arange(lo, hi, dtype=np.int64)
+        edge = (k == 0) | (2 * k == fft_size)
+        scale = np.where(edge, 1.0, 2.0) * band_weights[lo:hi] / fft_size
+        # Reduce k * delta modulo N in integers, to [-N/2, N/2), so the
+        # angle is exact before the trigonometry and +-delta stay symmetric.
+        half = fft_size // 2
+        phase = (np.outer(k, offsets) + half) % fft_size - half
+        angle = (2.0 * np.pi / fft_size) * phase
+        sine = np.sin(angle)
+        sine[edge] = 0.0
+        bases.append(_LagBasis(lo=lo, hi=hi,
+                               real=scale[:, None] * np.cos(angle),
+                               imag=scale[:, None] * sine))
+    return bases
 
 
 _TIE_REL_TOL = 1e-12
 
 
-def _band_delays(cross: np.ndarray, weights: np.ndarray, fft_size: int,
-                 offsets: np.ndarray, indices: np.ndarray) -> np.ndarray:
+def _band_delays(real: np.ndarray, imag: np.ndarray, bases: list[_LagBasis],
+                 offsets: np.ndarray) -> np.ndarray:
     """Delays (frames, bands) from a whitened cross-spectrum (frames, bins).
 
     Scores within a hair of the maximum are treated as tied so that
-    mathematically equal |R| values (which the FFT renders with last-bit
-    noise) resolve by the search order, not by rounding accidents.
+    mathematically equal |R| values (which floating point renders with
+    last-bit noise) resolve by the search order, not by rounding accidents.
     """
-    frames = cross.shape[0]
-    delays = np.empty((frames, weights.shape[0]), dtype=np.float64)
-    for b in range(weights.shape[0]):
-        corr = np.fft.irfft(cross * weights[b], n=fft_size, axis=1)
-        scores = np.abs(corr[:, indices])
+    delays = np.empty((real.shape[0], len(bases)), dtype=np.float64)
+    for b, basis in enumerate(bases):
+        corr = (real[:, basis.lo:basis.hi] @ basis.real
+                + imag[:, basis.lo:basis.hi] @ basis.imag)
+        scores = np.abs(corr)
         top = scores.max(axis=1, keepdims=True)
         at_top = scores >= top * (1.0 - _TIE_REL_TOL)
         delays[:, b] = offsets[np.argmax(at_top, axis=1)]
@@ -126,12 +174,12 @@ def gcc_phat_band(spec1: Spectrogram, spec2: Spectrogram,
         raise IndexError(f"band {band} out of range")
     if max_lag < 0:
         raise ValueError("max_lag must be non-negative")
-    offsets, indices = _lag_order(max_lag, spec1.fft_size)
-    cross = _phat_cross_spectrum(spec1.bins[frame:frame + 1],
-                                 spec2.bins[frame:frame + 1], floor)
-    delay = _band_delays(cross, filterbank.weights[band:band + 1],
-                         spec1.fft_size, offsets, indices)[0, 0]
-    return int(delay)
+    offsets = _lag_order(max_lag, spec1.fft_size)
+    real, imag = _phat_cross_spectrum(spec1.bins[frame:frame + 1],
+                                      spec2.bins[frame:frame + 1], floor)
+    bases = _lag_bases(filterbank.weights[band:band + 1], spec1.fft_size,
+                       offsets)
+    return int(_band_delays(real, imag, bases, offsets)[0, 0])
 
 
 def _frame_centers(frame_count: int, sample_rate: int,
@@ -198,6 +246,14 @@ def _temporal_median3(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def collapse_windows(tdoa3: np.ndarray, band_count: int) -> np.ndarray:
+    """``tdoa`` values from ``tdoa3`` values (frames, windows * band_count):
+    the per-band median over the windows, then a temporal median of 3."""
+    frames = tdoa3.shape[0]
+    median = np.median(tdoa3.reshape(frames, -1, band_count), axis=1)
+    return _temporal_median3(median)
+
+
 def extract_tdoa(clip: AudioClip, variant: str = "tdoa",
                  config: TdoaConfig | None = None,
                  grid: FrameGrid | None = None) -> FeatureMatrix:
@@ -205,7 +261,7 @@ def extract_tdoa(clip: AudioClip, variant: str = "tdoa",
 
     ``variant="tdoa3"`` emits band_count delays for each analysis window
     (windows in ascending length order); ``variant="tdoa"`` collapses the
-    windows by a per-band median and median-smooths over time.
+    windows with ``collapse_windows``.
     """
     if variant not in ("tdoa", "tdoa3"):
         raise ValueError(f"unknown TDOA variant {variant!r}")
@@ -219,32 +275,29 @@ def extract_tdoa(clip: AudioClip, variant: str = "tdoa",
     sr = clip.sample_rate
     max_lag = config.max_lag(sr)
     centers = _frame_centers(frame_count, sr, grid)
-    per_window = []
-    for window_ms in config.window_lengths_ms:
+    windows = len(config.window_lengths_ms)
+    stacked = np.empty((frame_count, windows, config.band_count))
+    for w, window_ms in enumerate(config.window_lengths_ms):
         window_length = int(round(window_ms * sr / 1000.0))
         fft_size = next_pow2(window_length + 2 * max_lag + 1)
         filterbank = build_mel_filterbank(config.band_count, fft_size, sr)
-        offsets, indices = _lag_order(max_lag, fft_size)
+        offsets = _lag_order(max_lag, fft_size)
+        bases = _lag_bases(filterbank.weights, fft_size, offsets)
         starts = centers - window_length // 2
-        delays = np.empty((frame_count, config.band_count))
         chunk = max(1, int(2 ** 22 / max(fft_size, 1)))
         for lo in range(0, frame_count, chunk):
             hi = min(lo + chunk, frame_count)
-            seg1 = _gather_segments(clip.samples[0], starts[lo:hi], window_length)
-            seg2 = _gather_segments(clip.samples[1], starts[lo:hi], window_length)
-            cross = _phat_cross_spectrum(np.fft.rfft(seg1, n=fft_size, axis=1),
-                                         np.fft.rfft(seg2, n=fft_size, axis=1),
-                                         config.spectral_floor)
-            delays[lo:hi] = _band_delays(cross, filterbank.weights, fft_size,
-                                         offsets, indices)
-        per_window.append(delays)
-    stacked = np.stack(per_window, axis=1)  # (frames, windows, bands)
+            bins1, bins2 = (np.fft.rfft(_gather_segments(
+                samples, starts[lo:hi], window_length), n=fft_size, axis=1)
+                for samples in clip.samples)
+            real, imag = _phat_cross_spectrum(bins1, bins2,
+                                              config.spectral_floor)
+            del bins1, bins2  # before the next chunk allocates its spectra
+            stacked[lo:hi, w] = _band_delays(real, imag, bases, offsets)
+    values = stacked.reshape(frame_count, windows * config.band_count)
     if variant == "tdoa3":
-        values = stacked.reshape(frame_count,
-                                 len(config.window_lengths_ms) * config.band_count)
         layout = FeatureLayout((("tdoa3", values.shape[1]),))
     else:
-        median = np.median(stacked, axis=1)
-        values = _temporal_median3(median)
+        values = collapse_windows(values, config.band_count)
         layout = FeatureLayout((("tdoa", config.band_count),))
     return FeatureMatrix(values=values, layout=layout)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audio import FrameGrid
 from .errors import DivergenceError
 from .events import EventRoll
 from .layout import FeatureLayout, FeatureMatrix
@@ -218,6 +219,7 @@ class TrainConfig:
     threshold: float = 0.5
     forget_bias: float = 1.0
     target_validation_er: float | None = None
+    grid: FrameGrid = field(default_factory=FrameGrid)   # sets segment length
 
 
 @dataclass(frozen=True)
@@ -293,17 +295,19 @@ def detect_roll(params: NetworkParams, scaler: Scaler,
 def validation_error_rate(params: NetworkParams,
                           validation: list[tuple[np.ndarray, EventRoll]],
                           threshold: float,
-                          sequence_length: int) -> tuple[float, float]:
+                          sequence_length: int,
+                          grid: FrameGrid | None = None) -> tuple[float, float]:
     """Micro-averaged segment ER and F over validation recordings.
 
-    Features arrive already scaled; references are frame-activity rolls.
+    Features arrive already scaled; references are frame-activity rolls on
+    ``grid``, which fixes how many frames make a one-second segment.
     """
     counts = []
     for values, reference in validation:
         probs = predict_posteriors(params, values, sequence_length)
         system = EventRoll(activity=(probs > threshold).astype(np.uint8),
                            class_order=reference.class_order)
-        counts.append(score(reference, system))
+        counts.append(score(reference, system, grid))
     rep = combine(counts)
     return rep.error_rate, rep.f_score
 
@@ -360,7 +364,8 @@ def run_training(state: TrainState, train_batch: SequenceBatch,
         params = vector_to_params(state.params_vector, state.layer_sizes)
         val_er, val_f = validation_error_rate(params, validation,
                                               config.threshold,
-                                              config.sequence_length)
+                                              config.sequence_length,
+                                              config.grid)
         state.history.append(EpochRecord(epoch=state.epoch,
                                          train_loss=train_loss,
                                          validation_er=val_er,

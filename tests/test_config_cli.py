@@ -4,13 +4,19 @@ import os
 import numpy as np
 import pytest
 
+from binsed.checkpoint import Checkpoint
 from binsed.cli import main
 from binsed.config import RunConfig, load_config, write_resolved_config
 from binsed.errors import DataError, UsageError
+from binsed.events import EventRoll
+from binsed.layout import FeatureLayout, FeatureMatrix
+from binsed.lstm import params_to_vector
 from binsed.pipeline import (ContextData, ablation_tokens,
                              check_fold_coverage, discover_recordings,
-                             fold_seed, read_context_features)
+                             evaluate_context, fold_seed,
+                             read_context_features)
 from binsed.folds import FoldSplit
+from binsed.training import fit_scaler, init_train_state
 
 
 class TestLoadConfig:
@@ -89,6 +95,7 @@ class TestLoadConfig:
         train_config = config.train_config()
         assert train_config.learning_rate == 0.5
         assert train_config.patience == 7
+        assert train_config.grid == feature_config.grid
 
 
 class TestPipelineUnits:
@@ -116,6 +123,40 @@ class TestPipelineUnits:
                         test=("r1",))
         with pytest.raises(DataError, match="'b'"):
             check_fold_coverage(data, bad)
+
+    def test_evaluate_scores_one_second_segments_on_a_10ms_hop(self):
+        # Each recording: 200 frames, reference active in frame 0 only,
+        # scored against a model that answers "active" everywhere.  At a
+        # 10 ms hop a segment is 100 frames, so every recording has one
+        # reference and one insertion.
+        config = load_config(None, {"hop_length_ms": 10.0, "fold_count": 2,
+                                    "features": "mel_1"})
+        names = [f"r{i}" for i in range(4)]
+        layout = FeatureLayout((("mel_1", 2),))
+        activity = np.zeros((200, 1), dtype=np.uint8)
+        activity[0] = 1
+        data = ContextData(
+            context="c", combination="mel_1", class_order=("a",),
+            recordings=names,
+            features={n: FeatureMatrix(values=np.zeros((200, 2)),
+                                       layout=layout) for n in names},
+            rolls={n: EventRoll(activity=activity, class_order=("a",))
+                   for n in names},
+            labels={n: ("a",) for n in names})
+        state = init_train_state(2, 1, config.train_config(), seed=0)
+        state.params_vector = np.zeros_like(state.params_vector)
+        params = state.params
+        params.b_out[:] = 5.0
+        state.params_vector = params_to_vector(params)
+        checkpoint = Checkpoint(state=state,
+                                scaler=fit_scaler([np.ones((3, 2))]),
+                                class_order=("a",), combination="mel_1",
+                                layout=layout)
+        report, _ = evaluate_context(
+            config, data, checkpoints={0: checkpoint, 1: checkpoint})
+        assert report.counts.references == 4
+        assert report.counts.insertions == 4
+        assert report.error_rate == 1.0
 
     def test_ablation_tokens_dedupe_in_order(self):
         tokens = ablation_tokens(["mel_2;tdoa", "mel_1", "tdoa;pitch_2"])

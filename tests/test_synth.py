@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from binsed.audio import decode_wav
+from binsed.cli import _SYNTH_CLASSES
 from binsed.errors import DataError
 from binsed.events import parse_annotations
 from binsed.melbank import build_mel_filterbank
-from binsed.synth import (PlannedEvent, SynthClass, generate_dataset,
-                          parse_scene_plan, random_scene_plan,
-                          synthesize_scene)
+from binsed.synth import (PlannedEvent, SynthClass, _shift_inside,
+                          generate_dataset, parse_scene_plan,
+                          random_scene_plan, synthesize_scene)
 
 
 def _event(**overrides):
@@ -178,3 +179,29 @@ class TestRandomPlansAndDatasets:
             a = (tmp_path / "street" / "audio" / f"{name}.wav").read_bytes()
             b = (again / "street" / "audio" / f"{name}.wav").read_bytes()
             assert a == b
+
+    def test_cli_default_classes_render_seed_one(self, tmp_path):
+        # seed 1 plans an event flush with a clip edge in rec004; its
+        # delayed copy used to run past the boundary.
+        names = generate_dataset(tmp_path, "home", _SYNTH_CLASSES,
+                                 recording_count=5, duration=30.0, seed=1)
+        assert names[-1] == "rec004"
+        clip = decode_wav(tmp_path / "home" / "audio" / "rec004.wav")
+        assert clip.samples.shape == (2, 480000)
+        truth = parse_annotations(tmp_path / "home" / "annotations"
+                                  / "rec004.txt")
+        assert all(0.0 <= e.onset < e.offset <= 30.0 for e in truth.events)
+
+    def test_edge_events_shift_inward_by_whole_milliseconds(self):
+        fitting = _event(onset=0.5, offset=1.5, delay=6)
+        assert _shift_inside(fitting, 2.0, 16000) is fitting
+        late = _shift_inside(_event(onset=1.0, offset=2.0, delay=20), 2.0,
+                             16000)
+        assert (late.onset, late.offset) == (0.998, 1.998)
+        early = _shift_inside(_event(onset=0.0, offset=1.0, delay=-6), 2.0,
+                              16000)
+        assert (early.onset, early.offset) == (0.001, 1.001)
+        whole = _shift_inside(_event(onset=0.0, offset=2.0, delay=6), 2.0,
+                              16000)
+        assert (whole.onset, whole.offset) == (0.0, 1.999)
+        synthesize_scene([late, early, whole], duration=2.0)

@@ -4,7 +4,9 @@ import pytest
 from binsed.audio import AudioClip, FrameGrid, Spectrogram
 from binsed.errors import DataError
 from binsed.melbank import build_mel_filterbank
-from binsed.tdoa import (TdoaConfig, extract_tdoa, gcc_phat_band,
+from binsed.synth import SynthClass, random_scene_plan, synthesize_scene
+from binsed.tdoa import (TdoaConfig, _lag_bases, _lag_order,
+                         collapse_windows, extract_tdoa, gcc_phat_band,
                          max_delay_samples, tdoa_window_spectrograms)
 
 
@@ -103,6 +105,26 @@ class TestGccPhatBand:
         clip = AudioClip(samples=np.zeros((2, 16000)), sample_rate=16000)
         got = extract_tdoa(clip, "tdoa")
         assert np.all(got.values == 0.0)
+
+    def test_lag_basis_matches_irfft_at_candidate_lags(self):
+        # Weights here reach DC and Nyquist (mel bands never do), where
+        # irfft counts a bin once and ignores its imaginary part.
+        rng = np.random.default_rng(8)
+        for fft_size in (64, 65, 256):
+            bins = fft_size // 2 + 1
+            weights = rng.random((2, bins))
+            weights[1, :5] = 0.0
+            g = rng.standard_normal((3, bins)) + 1j * rng.standard_normal((3, bins))
+            g.imag[:, 0] = 1e8
+            if fft_size % 2 == 0:
+                g.imag[:, -1] = 1e8
+            offsets = _lag_order(10, fft_size)
+            for band, basis in zip(weights,
+                                   _lag_bases(weights, fft_size, offsets)):
+                got = (g.real[:, basis.lo:basis.hi] @ basis.real
+                       + g.imag[:, basis.lo:basis.hi] @ basis.imag)
+                want = np.fft.irfft(g * band, n=fft_size)[:, -offsets % fft_size]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_tie_breaks_prefer_negative_sign(self):
         # x2 = symmetric impulse pair: |R(+4)| == |R(-4)| exactly, both
@@ -224,3 +246,86 @@ class TestExtractTdoa:
         got = extract_tdoa(clip, "tdoa").values
         interior = got[1:-1]
         assert np.array_equal(interior, np.round(interior))
+
+
+def seed_tdoa_stack(clip, config=TdoaConfig(), grid=FrameGrid()):
+    """(frames, windows, bands) delays computed the way the first extractor
+    did: PHAT by |X1| * |X2|, then one full-length irfft per band, read at
+    the candidate lags (0, -1, +1, ...) with the same relative tie
+    tolerance.  The reference for the lag-restricted DFT."""
+    max_lag = config.max_lag(clip.sample_rate)
+    offsets = [0]
+    for d in range(1, max_lag + 1):
+        offsets.extend((-d, d))
+    offsets = np.array(offsets)
+    per_window = []
+    for window_ms in config.window_lengths_ms:
+        s1, s2 = tdoa_window_spectrograms(clip, window_ms, grid, max_lag,
+                                          config)
+        n = s1.fft_size
+        cross = s1.bins * np.conj(s2.bins)
+        magnitude = np.abs(s1.bins) * np.abs(s2.bins)
+        whitened = np.zeros_like(cross)
+        live = magnitude > config.spectral_floor
+        np.divide(cross, magnitude, out=whitened, where=live)
+        weights = build_mel_filterbank(config.band_count, n,
+                                       clip.sample_rate).weights
+        delays = np.empty((s1.frame_count, config.band_count))
+        for b in range(config.band_count):
+            corr = np.fft.irfft(whitened * weights[b], n=n, axis=1)
+            scores = np.abs(corr[:, (-offsets) % n])
+            at_top = scores >= scores.max(axis=1, keepdims=True) * (1 - 1e-12)
+            delays[:, b] = offsets[np.argmax(at_top, axis=1)]
+        per_window.append(delays)
+    return np.stack(per_window, axis=1)
+
+
+def _truncated_median3(values):
+    frames = values.shape[0]
+    return np.array([np.median(values[max(0, t - 1):min(frames, t + 2)],
+                               axis=0) for t in range(frames)])
+
+
+def _regression_clips():
+    classes = [SynthClass("rumble", 0, 1, 6), SynthClass("hiss", 3, 4, -8),
+               SynthClass("beep", 2, 2, -3, kind="tone", pitch_hz=440.0)]
+    rng = np.random.default_rng(21)
+    plan = [e for e in random_scene_plan(classes, 10.5, rng)
+            if 0.01 < e.onset and e.offset < 10.49]
+    # 10.5 s: 524 frames, past the 480 ms window's 512-frame chunk.
+    yield "scene", synthesize_scene(plan, 10.5, rng=rng).clip
+    rng = np.random.default_rng(4)
+    n = 48000
+    left = rng.standard_normal(n) * 0.2
+    right = np.roll(left, 5) * 0.8 + rng.standard_normal(n) * 0.05
+    right[:16000] = left[:16000]                  # identical channels
+    left[24000:40000] = right[24000:40000] = 0.0  # silence, both channels
+    yield "noise", AudioClip(samples=np.stack([left, right]),
+                             sample_rate=16000)
+    yield "44k1", _delayed_noise_clip(+17, sample_rate=44100, seconds=0.6)
+    # shorter than every analysis window: each frame is a clip-edge frame
+    yield "short", _delayed_noise_clip(-4, seconds=0.1)
+
+
+class TestSeedEquivalence:
+    @pytest.mark.parametrize("name,clip", list(_regression_clips()))
+    def test_delays_bit_identical_to_irfft_extractor(self, name, clip):
+        want = seed_tdoa_stack(clip)
+        frames = want.shape[0]
+        tdoa3 = extract_tdoa(clip, "tdoa3").values
+        tdoa = extract_tdoa(clip, "tdoa").values
+        assert np.array_equal(tdoa3, want.reshape(frames, -1))
+        assert np.array_equal(tdoa,
+                              _truncated_median3(np.median(want, axis=1)))
+        assert np.array_equal(tdoa, collapse_windows(tdoa3, 5))
+
+    def test_silent_and_identical_spans_emit_zero(self):
+        _, clip = list(_regression_clips())[1]
+        tdoa3 = extract_tdoa(clip, "tdoa3").values
+        # frame t covers samples [320 t, 320 t + 640); the 480 ms window
+        # reaches 3840 samples either side of the frame centre
+        identical = slice(0, (16000 - 3840 - 320) // 320)
+        silent = slice((24000 + 3840) // 320, (40000 - 3840 - 320) // 320)
+        assert np.all(tdoa3[identical] == 0.0)
+        assert np.all(tdoa3[silent] == 0.0)
+        assert np.any(tdoa3 == 5.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from binsed.audio import FrameGrid
 from binsed.errors import DivergenceError
 from binsed.events import EventRoll
 from binsed.layout import FeatureLayout
@@ -284,6 +285,28 @@ class TestRunTraining:
                              mask=np.ones((2, 20)))
         with pytest.raises(ValueError, match="input size"):
             run_training(state, wide, validation, self.CONFIG)
+
+    def test_validation_segments_last_one_second_on_any_hop(self):
+        # 200 frames, reference active in frame 0 only, and a network that
+        # answers "active" everywhere: every segment after the first is one
+        # insertion.  A 10 ms hop means 100-frame segments, so ER is 1; on
+        # the default 20 ms grid the same rolls hold four segments.
+        for hop_ms, expected_er in ((10.0, 1.0), (20.0, 3.0)):
+            config = TrainConfig(hidden_sizes=(4,), learning_rate=0.0,
+                                 max_epochs=1, block_mix_ratio=0.0,
+                                 grid=FrameGrid(hop_length_ms=hop_ms))
+            state = init_train_state(2, 1, config, seed=0)
+            state.params_vector = np.zeros_like(state.params_vector)
+            params = state.params
+            params.b_out[:] = 5.0
+            state.params_vector = params_to_vector(params)
+            activity = np.zeros((200, 1), dtype=np.uint8)
+            activity[0] = 1
+            roll = EventRoll(activity=activity, class_order=("a",))
+            values = np.zeros((200, 2))
+            batch = split_sequences(values, activity.astype(float), 25)
+            state = run_training(state, batch, [(values, roll)], config)
+            assert state.history[0].validation_er == expected_er
 
     def test_identical_seeds_train_identically(self):
         runs = []
