@@ -19,12 +19,10 @@ PROB_EPS = 1e-7
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so
+    neither branch overflows; both share e = exp(-|x|), with no masking."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -149,12 +147,15 @@ def _layer_forward(layer: LstmLayer, inputs: np.ndarray) -> dict:
     h = np.zeros((seqs, hidden))
     c = np.zeros((seqs, hidden))
     pre_in = inputs @ layer.w_input.T + layer.bias
+    w_rec_t = layer.w_recurrent.T
     for t in range(steps):
-        z = pre_in[:, t] + h @ layer.w_recurrent.T
-        i = sigmoid(z[:, :hidden])
-        f = sigmoid(z[:, hidden:2 * hidden])
+        z = pre_in[:, t] + h @ w_rec_t
+        # One sigmoid over the whole slab; its g columns go unused.
+        s = sigmoid(z)
+        i = s[:, :hidden]
+        f = s[:, hidden:2 * hidden]
         g = np.tanh(z[:, 2 * hidden:3 * hidden])
-        o = sigmoid(z[:, 3 * hidden:])
+        o = s[:, 3 * hidden:]
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
@@ -213,7 +214,8 @@ def _layer_backward(layer: LstmLayer, cache: dict,
     grads = LstmLayer(np.zeros_like(layer.w_input),
                       np.zeros_like(layer.w_recurrent),
                       np.zeros_like(layer.bias))
-    dx_seq = np.zeros_like(cache["x"])
+    # Gate-gradient slabs, time-major: dz_seq[t] is step t's (S, 4H) block.
+    dz_seq = np.empty((steps, seqs, 4 * hidden))
     dh_carry = np.zeros((seqs, hidden))
     dc_carry = np.zeros((seqs, hidden))
     zeros = np.zeros((seqs, hidden))
@@ -229,15 +231,18 @@ def _layer_backward(layer: LstmLayer, cache: dict,
         dg = dc * i
         df = dc * c_prev
         dc_carry = dc * f
-        dz = np.hstack((di * i * (1.0 - i),
-                        df * f * (1.0 - f),
-                        dg * (1.0 - g * g),
-                        do * o * (1.0 - o)))
+        dz = dz_seq[t]
+        dz[:, :hidden] = di * i * (1.0 - i)
+        dz[:, hidden:2 * hidden] = df * f * (1.0 - f)
+        dz[:, 2 * hidden:3 * hidden] = dg * (1.0 - g * g)
+        dz[:, 3 * hidden:] = do * o * (1.0 - o)
+        # These sums stay per step: one matmul over all steps would add the
+        # same terms in another order and change the low bits.
         grads.w_input += dz.T @ cache["x"][:, t]
         grads.w_recurrent += dz.T @ h_prev
         grads.bias += dz.sum(axis=0)
-        dx_seq[:, t] = dz @ layer.w_input
         dh_carry = dz @ layer.w_recurrent
+    dx_seq = (dz_seq @ layer.w_input).swapaxes(0, 1)
     return grads, dx_seq
 
 
@@ -262,15 +267,14 @@ def backward(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray,
     seqs, steps, _ = top_hidden.shape
     flat_dlogits = d_logits.reshape(seqs * steps, -1)
     flat_hidden = top_hidden.reshape(seqs * steps, -1)
-    grads = zero_like_params(params)
-    grads.w_out = flat_dlogits.T @ flat_hidden
-    grads.b_out = flat_dlogits.sum(axis=0)
+    w_out = flat_dlogits.T @ flat_hidden
+    b_out = flat_dlogits.sum(axis=0)
     d_hidden = d_logits @ params.w_out
+    layer_grads = [None] * len(params.layers)
     for index in reversed(range(len(params.layers))):
-        layer_grads, d_hidden = _layer_backward(params.layers[index],
-                                                caches[index], d_hidden)
-        grads.layers[index] = layer_grads
-    return loss, grads
+        layer_grads[index], d_hidden = _layer_backward(
+            params.layers[index], caches[index], d_hidden)
+    return loss, NetworkParams(layers=layer_grads, w_out=w_out, b_out=b_out)
 
 
 def clip_gradient_norm(grad_vector: np.ndarray, max_norm: float) -> np.ndarray:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from binsed.lstm import (PROB_EPS, NetworkParams, backward, bce_loss,
-                         clip_gradient_norm, forward, init_params,
+from binsed.lstm import (PROB_EPS, LstmLayer, NetworkParams, backward,
+                         bce_loss, clip_gradient_norm, forward, init_params,
                          params_to_vector, sigmoid, vector_to_params,
                          zero_like_params)
 
@@ -291,3 +291,141 @@ class TestUtilities:
         assert np.linalg.norm(clipped) == pytest.approx(1.0)
         assert np.allclose(clipped, [0.6, 0.8])
         assert clip_gradient_norm(grad, 10.0) is grad
+
+
+def seed_sigmoid(x):
+    """Boolean-mask sigmoid the slab form in binsed.lstm must reproduce."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def seed_layer_forward(layer, inputs):
+    """Per-slice gate activations, one step at a time."""
+    seqs, steps, _ = inputs.shape
+    hidden = layer.hidden_size
+    cache = {k: np.empty((seqs, steps, hidden))
+             for k in ("i", "f", "g", "o", "c", "tc", "h")}
+    h = np.zeros((seqs, hidden))
+    c = np.zeros((seqs, hidden))
+    pre_in = inputs @ layer.w_input.T + layer.bias
+    for t in range(steps):
+        z = pre_in[:, t] + h @ layer.w_recurrent.T
+        i = seed_sigmoid(z[:, :hidden])
+        f = seed_sigmoid(z[:, hidden:2 * hidden])
+        g = np.tanh(z[:, 2 * hidden:3 * hidden])
+        o = seed_sigmoid(z[:, 3 * hidden:])
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        for key, value in zip("ifgo", (i, f, g, o)):
+            cache[key][:, t] = value
+        cache["c"][:, t], cache["tc"][:, t], cache["h"][:, t] = c, tc, h
+    cache["x"] = inputs
+    return cache
+
+
+def seed_layer_backward(layer, cache, d_hidden_seq):
+    """BPTT with hstacked gate gradients and dx computed inside the loop."""
+    seqs, steps, hidden = d_hidden_seq.shape
+    grads = LstmLayer(np.zeros_like(layer.w_input),
+                      np.zeros_like(layer.w_recurrent),
+                      np.zeros_like(layer.bias))
+    dx_seq = np.zeros_like(cache["x"])
+    dh_carry = np.zeros((seqs, hidden))
+    dc_carry = np.zeros((seqs, hidden))
+    zeros = np.zeros((seqs, hidden))
+    for t in reversed(range(steps)):
+        i, f, g, o = (cache[k][:, t] for k in ("i", "f", "g", "o"))
+        tc = cache["tc"][:, t]
+        c_prev = cache["c"][:, t - 1] if t > 0 else zeros
+        h_prev = cache["h"][:, t - 1] if t > 0 else zeros
+        dh = d_hidden_seq[:, t] + dh_carry
+        do = dh * tc
+        dc = dc_carry + dh * o * (1.0 - tc * tc)
+        di = dc * g
+        dg = dc * i
+        df = dc * c_prev
+        dc_carry = dc * f
+        dz = np.hstack((di * i * (1.0 - i),
+                        df * f * (1.0 - f),
+                        dg * (1.0 - g * g),
+                        do * o * (1.0 - o)))
+        grads.w_input += dz.T @ cache["x"][:, t]
+        grads.w_recurrent += dz.T @ h_prev
+        grads.bias += dz.sum(axis=0)
+        dx_seq[:, t] = dz @ layer.w_input
+        dh_carry = dz @ layer.w_recurrent
+    return grads, dx_seq
+
+
+def seed_backward(params, inputs, targets, mask):
+    """Posteriors, mean loss and gradients as the original kernel made them."""
+    caches = []
+    x = inputs
+    for layer in params.layers:
+        caches.append(seed_layer_forward(layer, x))
+        x = caches[-1]["h"]
+    probs = seed_sigmoid(x @ params.w_out.T + params.b_out)
+    loss = bce_loss(probs, targets, mask=mask)
+    clamped_off = (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
+    d_logits = (probs - targets) * clamped_off * mask[:, :, None]
+    d_logits = d_logits / (float(mask.sum()) * probs.shape[2])
+    seqs, steps, _ = x.shape
+    flat_dlogits = d_logits.reshape(seqs * steps, -1)
+    grads = zero_like_params(params)
+    grads.w_out = flat_dlogits.T @ x.reshape(seqs * steps, -1)
+    grads.b_out = flat_dlogits.sum(axis=0)
+    d_hidden = d_logits @ params.w_out
+    for index in reversed(range(len(params.layers))):
+        grads.layers[index], d_hidden = seed_layer_backward(
+            params.layers[index], caches[index], d_hidden)
+    return probs, loss, grads
+
+
+class TestSeedEquivalence:
+    """The kernel must match the original one bit for bit, not just closely."""
+
+    @pytest.mark.parametrize("sizes,seqs,steps", [
+        ((89, 32, 32, 3), 32, 25),   # the quick-start network and minibatch
+        ((6, 1, 1, 2), 4, 7),        # H = 1
+        ((6, 5, 4, 3), 4, 1),        # T = 1
+        ((6, 8, 3), 5, 9),           # one hidden layer
+        ((6, 8, 7, 3), 1, 9),        # S = 1
+    ])
+    def test_posteriors_loss_and_gradients_bit_identical(self, sizes, seqs,
+                                                         steps):
+        params = _network(sizes, seed=11)
+        rng = np.random.default_rng(23)
+        inputs = rng.standard_normal((seqs, steps, sizes[0])) * 2.0
+        targets = (rng.random((seqs, steps, sizes[-1])) < 0.3).astype(float)
+        mask = np.ones((seqs, steps))
+        mask[-1, steps // 2 + 1:] = 0.0     # padded tail on one sequence
+        want_probs, want_loss, want = seed_backward(params, inputs, targets,
+                                                    mask)
+        loss, grads = backward(params, inputs, targets, mask=mask)
+        assert np.array_equal(forward(params, inputs), want_probs)
+        assert loss == want_loss
+        for got_layer, want_layer in zip(grads.layers, want.layers):
+            assert np.array_equal(got_layer.w_input, want_layer.w_input)
+            assert np.array_equal(got_layer.w_recurrent,
+                                  want_layer.w_recurrent)
+            assert np.array_equal(got_layer.bias, want_layer.bias)
+        assert np.array_equal(grads.w_out, want.w_out)
+        assert np.array_equal(grads.b_out, want.b_out)
+
+    def test_sigmoid_bit_identical_at_edges(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny,
+                          1e-310, -1e-310, 709.0, -709.0, 745.0, -745.0,
+                          746.0, -746.0])
+        slab = np.random.default_rng(5).standard_normal((32, 128)) * 20.0
+        for x in (edges, slab):
+            # NaN's sign bit may differ, so NaNs compare as equal.
+            assert np.array_equal(sigmoid(x), seed_sigmoid(x), equal_nan=True)
+            numbers = ~np.isnan(x)
+            assert np.array_equal(np.signbit(sigmoid(x)[numbers]),
+                                  np.signbit(seed_sigmoid(x)[numbers]))

@@ -5,9 +5,10 @@ from binsed.audio import AudioClip, FrameGrid, Spectrogram
 from binsed.errors import DataError
 from binsed.melbank import build_mel_filterbank
 from binsed.synth import SynthClass, random_scene_plan, synthesize_scene
-from binsed.tdoa import (TdoaConfig, _lag_bases, _lag_order,
-                         collapse_windows, extract_tdoa, gcc_phat_band,
-                         max_delay_samples, tdoa_window_spectrograms)
+from binsed.tdoa import (TdoaConfig, _band_delays, _lag_bases, _LagBasis,
+                         _lag_order, collapse_windows, extract_tdoa,
+                         gcc_phat_band, max_delay_samples,
+                         tdoa_window_spectrograms)
 
 
 def _delayed_noise_clip(delay, sample_rate=16000, seconds=2.0, seed=7,
@@ -145,6 +146,20 @@ class TestGccPhatBand:
         want = naive_band_delay(x1[0], x2[0], fb.weights[0], fft_size, 10)
         assert got == want
         assert got == -4
+
+    def test_near_ties_resolve_by_search_order(self):
+        # Scores that differ only by last-bit noise (relative ~1e-15) count
+        # as tied, so the earlier lag in the order 0, -1, +1, ... wins even
+        # when its score rounded slightly low; a gap of 1e-9 is no tie.
+        offsets = _lag_order(2, 64)
+        noisy = 1.0 - 2.0 ** -50
+        rows = ([noisy, 1.0, 0.5, 0.2, 0.1],        # 0 over -1
+                [0.3, noisy, 1.0, 0.2, 0.1],        # -1 over +1
+                [1.0 - 1e-9, 1.0, 0.5, 0.2, 0.1])   # a real gap: -1
+        bases = [_LagBasis(lo=0, hi=1, real=np.array([row]),
+                           imag=np.zeros((1, 5))) for row in rows]
+        got = _band_delays(np.ones((1, 1)), np.zeros((1, 1)), bases, offsets)
+        assert got.tolist() == [[0.0, -1.0, -1.0]]
 
     def test_validation(self):
         clip = _delayed_noise_clip(0, seconds=0.5)
