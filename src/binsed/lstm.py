@@ -208,8 +208,10 @@ def bce_loss(probs: np.ndarray, targets: np.ndarray,
     return total / count if count > 0 else 0.0
 
 
-def _layer_backward(layer: LstmLayer, cache: dict,
-                    d_hidden_seq: np.ndarray) -> tuple[LstmLayer, np.ndarray]:
+def _layer_backward(layer: LstmLayer, cache: dict, d_hidden_seq: np.ndarray,
+                    input_grad: bool) -> tuple[LstmLayer, np.ndarray | None]:
+    """Layer gradients and, if ``input_grad``, the gradient (S, T, D_in)
+    with respect to the layer's inputs (else None)."""
     seqs, steps, hidden = d_hidden_seq.shape
     grads = LstmLayer(np.zeros_like(layer.w_input),
                       np.zeros_like(layer.w_recurrent),
@@ -242,8 +244,9 @@ def _layer_backward(layer: LstmLayer, cache: dict,
         grads.w_recurrent += dz.T @ h_prev
         grads.bias += dz.sum(axis=0)
         dh_carry = dz @ layer.w_recurrent
-    dx_seq = (dz_seq @ layer.w_input).swapaxes(0, 1)
-    return grads, dx_seq
+    if not input_grad:
+        return grads, None
+    return grads, (dz_seq @ layer.w_input).swapaxes(0, 1)
 
 
 def backward(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray,
@@ -272,8 +275,10 @@ def backward(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray,
     d_hidden = d_logits @ params.w_out
     layer_grads = [None] * len(params.layers)
     for index in reversed(range(len(params.layers))):
+        # The first layer's input gradient would have no consumer.
         layer_grads[index], d_hidden = _layer_backward(
-            params.layers[index], caches[index], d_hidden)
+            params.layers[index], caches[index], d_hidden,
+            input_grad=index > 0)
     return loss, NetworkParams(layers=layer_grads, w_out=w_out, b_out=b_out)
 
 

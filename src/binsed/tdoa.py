@@ -31,11 +31,21 @@ band; the ``tdoa`` variant is derived from it by ``collapse_windows``: the
 per-band median across the windows, then a temporal median filter of
 length 3 (truncated at the clip edges).  Callers needing both variants
 compute the stack once and collapse it.
+
+Every (frame, window) estimate is independent of the others, so the
+extractor splits each window's frames into chunks and runs the (window,
+chunk) tasks on a thread pool sized to the CPUs the process may use; numpy's
+FFT and the BLAS matmuls release the interpreter lock.  One spectrum budget
+is shared by the workers, so peak memory does not grow with the core count,
+and the delays do not depend on the worker count or the chunking.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +99,19 @@ def _lag_order(max_lag: int, fft_size: int) -> np.ndarray:
 
 def _phat_cross_spectrum(bins1: np.ndarray, bins2: np.ndarray,
                          floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened cross-spectrum as contiguous (real, imaginary) float arrays."""
-    cross = bins1 * np.conj(bins2)
+    """Whitened cross-spectrum as contiguous (real, imaginary) float arrays.
+
+    Works in place: ``bins2`` is left holding the cross-spectrum, so callers
+    pass spectra they own.  The product is taken as conj(X2) * X1 because
+    with fused multiply-add the last bit of its imaginary part depends on the
+    operand order, and this order keeps the spectra bit-identical to the
+    earlier out-of-place form (which numpy evaluated in place into the
+    conjugate) on chunks of 256 KiB and more.  Below that it multiplied
+    X1 * conj(X2), so there the last bits may differ from it; the delays
+    are tested to agree.
+    """
+    np.conjugate(bins2, out=bins2)
+    cross = np.multiply(bins2, bins1, out=bins2)
     magnitude = np.abs(cross)
     live = magnitude > floor
     real = np.zeros(cross.shape)
@@ -111,7 +132,7 @@ class _LagBasis:
 
 
 def _lag_bases(weights: np.ndarray, fft_size: int,
-               offsets: np.ndarray) -> list[_LagBasis]:
+               offsets: np.ndarray) -> tuple[_LagBasis, ...]:
     """One basis per band row of ``weights`` (bands, fft_size // 2 + 1).
 
     Column j of a basis gives irfft(G * H_b, n=fft_size)[-offsets[j] mod N]
@@ -135,13 +156,30 @@ def _lag_bases(weights: np.ndarray, fft_size: int,
         bases.append(_LagBasis(lo=lo, hi=hi,
                                real=scale[:, None] * np.cos(angle),
                                imag=scale[:, None] * sine))
-    return bases
+    return tuple(bases)
+
+
+@functools.lru_cache(maxsize=32)
+def _window_plan(band_count: int, fft_size: int, sample_rate: int,
+                 max_lag: int) -> tuple[np.ndarray, tuple[_LagBasis, ...]]:
+    """Candidate lags and per-band lag bases for one analysis window.
+
+    Cached, because they depend only on the arguments; the arrays are
+    read-only since every caller shares them.
+    """
+    filterbank = build_mel_filterbank(band_count, fft_size, sample_rate)
+    offsets = _lag_order(max_lag, fft_size)
+    bases = _lag_bases(filterbank.weights, fft_size, offsets)
+    for array in (offsets, *(a for b in bases for a in (b.real, b.imag))):
+        array.flags.writeable = False
+    return offsets, bases
 
 
 _TIE_REL_TOL = 1e-12
 
 
-def _band_delays(real: np.ndarray, imag: np.ndarray, bases: list[_LagBasis],
+def _band_delays(real: np.ndarray, imag: np.ndarray,
+                 bases: tuple[_LagBasis, ...],
                  offsets: np.ndarray) -> np.ndarray:
     """Delays (frames, bands) from a whitened cross-spectrum (frames, bins).
 
@@ -176,26 +214,25 @@ def gcc_phat_band(spec1: Spectrogram, spec2: Spectrogram,
         raise ValueError("max_lag must be non-negative")
     offsets = _lag_order(max_lag, spec1.fft_size)
     real, imag = _phat_cross_spectrum(spec1.bins[frame:frame + 1],
-                                      spec2.bins[frame:frame + 1], floor)
+                                      spec2.bins[frame:frame + 1].copy(), floor)
     bases = _lag_bases(filterbank.weights[band:band + 1], spec1.fft_size,
                        offsets)
     return int(_band_delays(real, imag, bases, offsets)[0, 0])
 
 
-def _frame_centers(frame_count: int, sample_rate: int,
-                   grid: FrameGrid) -> np.ndarray:
+def _segments(samples: np.ndarray, window_length: int, frame_count: int,
+              sample_rate: int, grid: FrameGrid) -> np.ndarray:
+    """Zero-padded (frame_count, window_length) read-only view of ``samples``
+    whose row t is the window centred on frame t's centre.
+
+    The rows overlap in memory; nothing is copied beyond the padding.
+    """
     hop = grid.hop_samples(sample_rate)
-    frame = grid.frame_samples(sample_rate)
-    return np.arange(frame_count, dtype=np.int64) * hop + frame // 2
-
-
-def _gather_segments(samples: np.ndarray, starts: np.ndarray,
-                     length: int) -> np.ndarray:
-    """Zero-padded (len(starts), length) segment matrix."""
-    pad = length
-    padded = np.pad(samples, (pad, pad))
-    view = np.lib.stride_tricks.sliding_window_view(padded, length)
-    return view[starts + pad]
+    first = (grid.frame_samples(sample_rate) // 2 - window_length // 2
+             + window_length)
+    padded = np.pad(samples, (window_length, window_length))
+    view = np.lib.stride_tricks.sliding_window_view(padded, window_length)
+    return view[first:first + (frame_count - 1) * hop + 1:hop]
 
 
 def tdoa_window_spectrograms(clip: AudioClip, window_length_ms: float,
@@ -220,11 +257,10 @@ def tdoa_window_spectrograms(clip: AudioClip, window_length_ms: float,
         raise DataError("clip is shorter than one analysis frame")
     window_length = int(round(window_length_ms * clip.sample_rate / 1000.0))
     fft_size = next_pow2(window_length + 2 * max_lag + 1)
-    centers = _frame_centers(frame_count, clip.sample_rate, grid)
-    starts = centers - window_length // 2
     specs = []
     for ch in range(2):
-        segments = _gather_segments(clip.samples[ch], starts, window_length)
+        segments = _segments(clip.samples[ch], window_length, frame_count,
+                             clip.sample_rate, grid)
         bins = np.fft.rfft(segments, n=fft_size, axis=1)
         specs.append(Spectrogram(bins=bins, fft_size=fft_size,
                                  sample_rate=clip.sample_rate, grid=grid,
@@ -254,6 +290,36 @@ def collapse_windows(tdoa3: np.ndarray, band_count: int) -> np.ndarray:
     return _temporal_median3(median)
 
 
+# Frames times FFT size of the chunks in flight, summed over the workers:
+# this bounds the TDOA memory peak.
+_SPECTRUM_BINS = 2 ** 22
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_delays(out: np.ndarray, pair: list[np.ndarray], fft_size: int,
+                  plan: tuple[np.ndarray, tuple[_LagBasis, ...]],
+                  floor: float) -> None:
+    """Fill ``out`` (frames, bands) with the delays of a pair of segment
+    matrices (frames, window_length).
+
+    Runs on worker threads, so it must call nothing the benchmark's tracer
+    wraps: its spans assume single-threaded, strictly nested calls.
+    """
+    offsets, bases = plan
+    bins1, bins2 = (np.fft.rfft(segments, n=fft_size, axis=1)
+                    for segments in pair)
+    real, imag = _phat_cross_spectrum(bins1, bins2, floor)
+    del bins1, bins2  # before the band matmuls allocate theirs
+    out[...] = _band_delays(real, imag, bases, offsets)
+
+
 def extract_tdoa(clip: AudioClip, variant: str = "tdoa",
                  config: TdoaConfig | None = None,
                  grid: FrameGrid | None = None) -> FeatureMatrix:
@@ -274,26 +340,29 @@ def extract_tdoa(clip: AudioClip, variant: str = "tdoa",
         raise DataError("clip is shorter than one analysis frame")
     sr = clip.sample_rate
     max_lag = config.max_lag(sr)
-    centers = _frame_centers(frame_count, sr, grid)
     windows = len(config.window_lengths_ms)
     stacked = np.empty((frame_count, windows, config.band_count))
+    cpus = _cpu_count()
+    tasks = []
     for w, window_ms in enumerate(config.window_lengths_ms):
         window_length = int(round(window_ms * sr / 1000.0))
         fft_size = next_pow2(window_length + 2 * max_lag + 1)
-        filterbank = build_mel_filterbank(config.band_count, fft_size, sr)
-        offsets = _lag_order(max_lag, fft_size)
-        bases = _lag_bases(filterbank.weights, fft_size, offsets)
-        starts = centers - window_length // 2
-        chunk = max(1, int(2 ** 22 / max(fft_size, 1)))
-        for lo in range(0, frame_count, chunk):
-            hi = min(lo + chunk, frame_count)
-            bins1, bins2 = (np.fft.rfft(_gather_segments(
-                samples, starts[lo:hi], window_length), n=fft_size, axis=1)
-                for samples in clip.samples)
-            real, imag = _phat_cross_spectrum(bins1, bins2,
-                                              config.spectral_floor)
-            del bins1, bins2  # before the next chunk allocates its spectra
-            stacked[lo:hi, w] = _band_delays(real, imag, bases, offsets)
+        plan = _window_plan(config.band_count, fft_size, sr, max_lag)
+        pair = [_segments(samples, window_length, frame_count, sr, grid)
+                for samples in clip.samples]
+        # The workers share one budget, so peak memory does not grow with
+        # the CPU count; a window shorter than that splits evenly across
+        # them, so they are not left to hold whole windows at once.
+        chunk = max(1, min(_SPECTRUM_BINS // (cpus * fft_size),
+                           -(-frame_count // cpus)))
+        tasks.extend((stacked[lo:lo + chunk, w],
+                      [segments[lo:lo + chunk] for segments in pair],
+                      fft_size, plan) for lo in range(0, frame_count, chunk))
+    with ThreadPoolExecutor(max_workers=min(cpus, len(tasks))) as pool:
+        futures = [pool.submit(_chunk_delays, *task, config.spectral_floor)
+                   for task in tasks]
+        for future in futures:
+            future.result()
     values = stacked.reshape(frame_count, windows * config.band_count)
     if variant == "tdoa3":
         layout = FeatureLayout((("tdoa3", values.shape[1]),))

@@ -1,13 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 
+from binsed import tdoa
 from binsed.audio import AudioClip, FrameGrid, Spectrogram
 from binsed.errors import DataError
 from binsed.melbank import build_mel_filterbank
 from binsed.synth import SynthClass, random_scene_plan, synthesize_scene
 from binsed.tdoa import (TdoaConfig, _band_delays, _lag_bases, _LagBasis,
-                         _lag_order, collapse_windows, extract_tdoa,
-                         gcc_phat_band, max_delay_samples,
+                         _lag_order, _window_plan, collapse_windows,
+                         extract_tdoa, gcc_phat_band, max_delay_samples,
                          tdoa_window_spectrograms)
 
 
@@ -161,6 +164,15 @@ class TestGccPhatBand:
         got = _band_delays(np.ones((1, 1)), np.zeros((1, 1)), bases, offsets)
         assert got.tolist() == [[0.0, -1.0, -1.0]]
 
+    def test_leaves_spectrograms_unchanged(self):
+        clip = _delayed_noise_clip(+3, seconds=0.5)
+        s1, s2 = tdoa_window_spectrograms(clip, 120.0, max_lag=20)
+        before = s1.bins.copy(), s2.bins.copy()
+        fb = build_mel_filterbank(5, s1.fft_size, 16000)
+        assert gcc_phat_band(s1, s2, fb, 5, 2, 20) == 3
+        assert np.array_equal(s1.bins, before[0])
+        assert np.array_equal(s2.bins, before[1])
+
     def test_validation(self):
         clip = _delayed_noise_clip(0, seconds=0.5)
         s1, s2 = tdoa_window_spectrograms(clip, 120.0, max_lag=10)
@@ -238,6 +250,23 @@ class TestExtractTdoa:
         config = TdoaConfig(band_count=3)
         assert extract_tdoa(clip, "tdoa", config).values.shape[1] == 3
         assert extract_tdoa(clip, "tdoa3", config).values.shape[1] == 9
+
+    def test_leaves_clip_unchanged(self):
+        clip = _delayed_noise_clip(-2, seconds=1.0)
+        before = clip.samples.copy()
+        extract_tdoa(clip, "tdoa3")
+        assert np.array_equal(clip.samples, before)
+
+    def test_window_plan_is_cached_and_read_only(self):
+        plan = _window_plan(5, 2048, 16000, 20)
+        assert _window_plan(5, 2048, 16000, 20) is plan
+        offsets, bases = plan
+        with pytest.raises(ValueError, match="read-only"):
+            offsets[0] = 1
+        for basis in bases:
+            for array in (basis.real, basis.imag):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 0.0
 
     def test_mono_rejected(self):
         clip = AudioClip(samples=np.zeros((1, 16000)), sample_rate=16000)
@@ -344,3 +373,79 @@ class TestSeedEquivalence:
         assert np.all(tdoa3[identical] == 0.0)
         assert np.all(tdoa3[silent] == 0.0)
         assert np.any(tdoa3 == 5.0)
+
+
+def _out_of_place_phat(bins1, bins2, floor):
+    """The whitening as first written: X1 * conj(X2) into a new array.  On
+    arrays under 256 KiB numpy multiplies in that operand order, where the
+    in-place form takes conj(X2) * X1; with fused multiply-add the two can
+    differ in the last bit of the imaginary part."""
+    cross = bins1 * np.conj(bins2)
+    magnitude = np.abs(cross)
+    live = magnitude > floor
+    real = np.zeros(cross.shape)
+    imag = np.zeros(cross.shape)
+    np.divide(cross.real, magnitude, out=real, where=live)
+    np.divide(cross.imag, magnitude, out=imag, where=live)
+    return real, imag
+
+
+class TestWhiteningOperandOrder:
+    """On inputs small enough for numpy to multiply X1 * conj(X2) in that
+    order (one frame, or clips under ~0.34 s), the delays match it."""
+
+    @pytest.mark.parametrize("seconds,sample_rate,delay",
+                             [(0.1, 16000, 3), (0.2, 16000, -5),
+                              (0.3, 16000, 7), (0.06, 44100, -17)])
+    def test_short_clips(self, seconds, sample_rate, delay, monkeypatch):
+        clip = _delayed_noise_clip(delay, sample_rate=sample_rate,
+                                   seconds=seconds, seed=int(seconds * 100))
+        got = extract_tdoa(clip, "tdoa3").values
+        monkeypatch.setattr(tdoa, "_phat_cross_spectrum", _out_of_place_phat)
+        assert np.array_equal(got, extract_tdoa(clip, "tdoa3").values)
+
+    def test_gcc_phat_band(self, monkeypatch):
+        clip = _delayed_noise_clip(+4, seconds=0.5)
+        specs = tdoa_window_spectrograms(clip, 120.0, max_lag=20)
+        fb = build_mel_filterbank(5, specs[0].fft_size, 16000)
+        cells = [(t, b) for t in range(specs[0].frame_count) for b in range(5)]
+        got = [gcc_phat_band(*specs, fb, t, b, 20) for t, b in cells]
+        monkeypatch.setattr(tdoa, "_phat_cross_spectrum", _out_of_place_phat)
+        assert got == [gcc_phat_band(*specs, fb, t, b, 20) for t, b in cells]
+
+
+class TestWorkersAndChunks:
+    """The delays must not depend on how the (window, chunk) tasks are cut
+    or on how many threads run them."""
+
+    @pytest.mark.parametrize("name,clip", list(_regression_clips()))
+    def test_tdoa3_independent_of_workers_and_chunking(self, name, clip,
+                                                       monkeypatch):
+        calls = []
+        chunk_delays = tdoa._chunk_delays
+
+        def spy(*args):
+            calls.append(args)
+            chunk_delays(*args)
+
+        monkeypatch.setattr(tdoa, "_chunk_delays", spy)
+
+        def run(cpus, budget):
+            monkeypatch.setattr(tdoa, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(tdoa, "_SPECTRUM_BINS", budget)
+            calls.clear()
+            return extract_tdoa(clip, "tdoa3").values
+
+        want = run(1, 2 ** 22)
+        assert np.array_equal(run(2, 2 ** 22), want)
+        # 2 ** 12 bins cut every window of every scene into several chunks.
+        assert np.array_equal(run(1, 2 ** 12), want)
+        assert len(calls) > 2 * len(TdoaConfig().window_lengths_ms)
+        assert np.array_equal(run(2, 2 ** 12), want)
+        # More workers than cores, switching threads as often as possible.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert np.array_equal(run(5, 2 ** 12), want)
+        finally:
+            sys.setswitchinterval(interval)
