@@ -5,22 +5,4 @@ GCC-PHAT delay) features feed a from-scratch multi-label LSTM; detection
 quality is measured with one-second segment error rate and F-score.
 """
 
-from .audio import AudioClip, FrameGrid, Spectrogram, decode_wav, downmix_to_mono, encode_wav, stft
-from .errors import (AnnotationError, AudioFormatError, BinsedError, DataError,
-                     DivergenceError, TrainingError, UsageError)
-from .events import Event, EventList, EventRoll, parse_annotations, rasterize, roll_to_events
-from .features import (ABLATION_COMBINATIONS, FeatureConfig, assemble_features,
-                       combination_layout, combination_width, parse_combination)
-from .folds import FoldSplit, make_folds
-from .layout import FeatureLayout, FeatureMatrix, hstack_features
-from .lstm import NetworkParams, backward, bce_loss, forward, init_params
-from .melbank import MelFilterbank, build_mel_filterbank, extract_log_mel, hz_to_mel, mel_to_hz
-from .metrics import MetricReport, SegmentCounts, combine, report, score
-from .pitch import extract_pitch
-from .synth import PlannedEvent, SynthClass, SyntheticScene, synthesize_scene
-from .tdoa import TdoaConfig, extract_tdoa, gcc_phat_band, max_delay_samples
-from .training import (Scaler, SequenceBatch, TrainConfig, TrainState,
-                       adam_step, block_mix, detect_roll, fit_scaler,
-                       init_train_state, run_training, split_sequences)
-
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .audio import AudioClip, FrameGrid, Spectrogram, downmix_to_mono, next_pow2, stft
 from .errors import DataError
-from .layout import FeatureLayout, FeatureMatrix, hstack_features
+from .layout import FeatureLayout, FeatureMatrix
 from .melbank import build_mel_filterbank, extract_log_mel
 from .pitch import extract_pitch
 from .tdoa import TdoaConfig, collapse_windows, extract_tdoa
@@ -100,12 +100,13 @@ def combination_layout(combination: str,
 
 
 def extract_block_values(clip: AudioClip, tokens: list[str],
-                         config: FeatureConfig | None = None,
-                         ) -> dict[str, "np.ndarray"]:
+                         config: FeatureConfig | None = None) -> FeatureMatrix:
     """Extract several blocks at once, sharing STFTs between them.
 
-    Returns raw (frames, width) arrays keyed by token, all on the common
-    40 ms / 20 ms grid, so any subset can be column-concatenated directly.
+    This is the one place block columns are stacked: blocks follow the order
+    of ``tokens``, widths come from ``block_width``, and the values are
+    rounded once through float32, the precision of the ``.feat`` container,
+    so a matrix in memory equals the one written and read back.
     """
     config = config or FeatureConfig()
     specs = [parse_combination(token)[0] for token in tokens]
@@ -141,54 +142,33 @@ def extract_block_values(clip: AudioClip, tokens: list[str],
                              grid=config.grid).values
         delays = {"tdoa3": tdoa3,
                   "tdoa": collapse_windows(tdoa3, config.tdoa.band_count)}
-    out = {}
+    columns = []
     for spec in specs:
         if spec.family in _STEREO_FAMILIES:
-            values = delays[spec.family]
-        else:
-            channel_specs = ([get_mono()] if spec.channels == 1
-                             else list(get_stereo()))
-            pieces = []
-            for ch_spec in channel_specs:
-                if spec.family == "mel":
-                    pieces.append(extract_log_mel(ch_spec, filterbank,
-                                                  floor=config.log_floor).values)
-                else:
-                    top_k = 1 if spec.family == "pitch" else 3
-                    pieces.append(extract_pitch(
-                        ch_spec, top_k=top_k, f_min=config.pitch_f_min,
-                        f_max=config.pitch_f_max,
-                        threshold=config.pitch_threshold).values)
-            values = pieces[0] if len(pieces) == 1 else np.hstack(pieces)
-        out[spec.token] = values
-    return out
-
-
-def compose_features(block_values: dict[str, "np.ndarray"], combination: str,
-                     config: FeatureConfig | None = None) -> FeatureMatrix:
-    """Assemble a combination from pre-extracted block arrays."""
-    specs = parse_combination(combination)
-    missing = [s.token for s in specs if s.token not in block_values]
-    if missing:
-        raise ValueError(f"blocks not extracted: {missing}")
-    parts = [FeatureMatrix(
-        values=block_values[s.token],
-        layout=FeatureLayout(((s.token, block_width(s, config)),)))
-        for s in specs]
-    return hstack_features(parts)
+            columns.append(delays[spec.family])
+            continue
+        # Per-channel blocks: left columns first, then right.
+        for ch_spec in [get_mono()] if spec.channels == 1 else get_stereo():
+            if spec.family == "mel":
+                columns.append(extract_log_mel(ch_spec, filterbank,
+                                               floor=config.log_floor).values)
+            else:
+                top_k = 1 if spec.family == "pitch" else 3
+                columns.append(extract_pitch(
+                    ch_spec, top_k=top_k, f_min=config.pitch_f_min,
+                    f_max=config.pitch_f_max,
+                    threshold=config.pitch_threshold).values)
+    layout = FeatureLayout(tuple((s.token, block_width(s, config))
+                                 for s in specs))
+    return FeatureMatrix(values=np.hstack(columns).astype(np.float32),
+                         layout=layout)
 
 
 def assemble_features(clip: AudioClip, combination: str,
                       config: FeatureConfig | None = None) -> FeatureMatrix:
-    """Extract and column-concatenate every block of a combination.
-
-    All blocks share the 40 ms / 20 ms analysis grid, so their frame counts
-    agree by construction.
-    """
-    config = config or FeatureConfig()
-    specs = parse_combination(combination)
-    block_values = extract_block_values(clip, [s.token for s in specs], config)
-    return compose_features(block_values, combination, config)
+    """Extract every block of a combination, in the combination's order."""
+    return extract_block_values(
+        clip, [s.token for s in parse_combination(combination)], config)
 
 
 #: The feature combinations of the full ablation grid, mono families first.

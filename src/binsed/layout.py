@@ -52,7 +52,9 @@ class FeatureMatrix:
     layout: FeatureLayout
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        # C order, so reductions over frames (the scaler's std) do not
+        # depend on how the values were sliced.
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("feature values must be a 2-D array")
         if self.values.shape[1] != self.layout.width:
@@ -73,16 +75,11 @@ class FeatureMatrix:
     def block(self, name: str) -> np.ndarray:
         return self.values[:, self.layout.block_slice(name)]
 
+    def select(self, names: list[str] | tuple[str, ...]) -> FeatureMatrix:
+        """The named blocks, in the order given; KeyError for a missing one."""
+        slices = [self.layout.block_slice(name) for name in names]
+        columns = np.concatenate([np.arange(s.start, s.stop) for s in slices])
+        layout = FeatureLayout(tuple((name, s.stop - s.start)
+                                     for name, s in zip(names, slices)))
+        return FeatureMatrix(values=self.values[:, columns], layout=layout)
 
-def hstack_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
-    """Concatenate feature matrices column-wise; frame counts must agree."""
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    frames = {p.frame_count for p in parts}
-    if len(frames) != 1:
-        raise ValueError(f"frame counts differ: {sorted(frames)}")
-    blocks = []
-    for p in parts:
-        blocks.extend(p.layout.blocks)
-    return FeatureMatrix(values=np.hstack([p.values for p in parts]),
-                         layout=FeatureLayout(tuple(blocks)))

@@ -12,11 +12,13 @@ Run artefacts land under the output directory::
     <out>/models/<context>/fold<k>.ckpt / fold<k>.log
     <out>/evaluation/results.json / results.txt
     <out>/ablation/table.txt / table.json
+    <out>/ablation/<combination, ';' as '+'>/models/<context>/fold<k>.ckpt / .log
     <out>/config.json
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import zlib
@@ -30,7 +32,7 @@ from .config import RunConfig
 from .container import atomic_write_bytes, export_csv, read_features, write_features
 from .errors import DataError
 from .events import EventList, EventRoll, parse_annotations, rasterize
-from .features import combination_layout, compose_features, extract_block_values, parse_combination
+from .features import extract_block_values, parse_combination
 from .folds import FoldSplit, make_folds
 from .layout import FeatureLayout, FeatureMatrix
 from .metrics import MetricReport, SegmentCounts, combine, score
@@ -89,16 +91,15 @@ def context_class_order(event_lists: list[EventList]) -> tuple[str, ...]:
 
 
 def extract_context(config: RunConfig, context: str,
-                    tokens: list[str] | None = None,
-                    combination: str | None = None) -> ContextData:
+                    tokens: list[str] | None = None) -> ContextData:
     """Decode, extract and rasterise a whole context in memory.
 
-    ``tokens`` widens the extracted block set beyond the single combination
-    (used by the ablation grid so audio is only processed once).
+    ``tokens`` replaces ``config.features`` as the extracted block set (the
+    ablation grid extracts its widest set once).  The recorded combination
+    names the extracted blocks, so it always matches the columns.
     """
-    combination = combination or config.features
     wanted = list(tokens) if tokens else \
-        [s.token for s in parse_combination(combination)]
+        [s.token for s in parse_combination(config.features)]
     feature_config = config.feature_config()
     recordings = discover_recordings(config.data_root, context)
     event_lists = {r.name: parse_annotations(r.annotation_path, recording=r.name,
@@ -110,18 +111,14 @@ def extract_context(config: RunConfig, context: str,
     labels: dict[str, tuple[str, ...]] = {}
     for recording in recordings:
         clip = decode_wav(recording.wav_path)
-        block_values = extract_block_values(clip, wanted, feature_config)
-        layout = FeatureLayout(tuple(
-            (token, block_values[token].shape[1]) for token in wanted))
-        matrix = FeatureMatrix(
-            values=np.hstack([block_values[t] for t in wanted]),
-            layout=layout)
+        matrix = extract_block_values(clip, wanted, feature_config)
         features[recording.name] = matrix
         rolls[recording.name] = rasterize(event_lists[recording.name],
                                           matrix.frame_count, class_order,
                                           feature_config.grid)
         labels[recording.name] = event_lists[recording.name].labels
-    return ContextData(context=context, combination=combination,
+    return ContextData(context=context,
+                       combination=";".join(matrix.layout.block_names),
                        class_order=class_order,
                        recordings=[r.name for r in recordings],
                        features=features, rolls=rolls, labels=labels)
@@ -130,13 +127,8 @@ def extract_context(config: RunConfig, context: str,
 def select_combination(data: ContextData, combination: str,
                        config: RunConfig) -> dict[str, FeatureMatrix]:
     """Slice a combination's blocks out of wider extracted features."""
-    feature_config = config.feature_config()
-    out = {}
-    for name, matrix in data.features.items():
-        block_values = {token: matrix.block(token)
-                        for token in matrix.layout.block_names}
-        out[name] = compose_features(block_values, combination, feature_config)
-    return out
+    names = [s.token for s in parse_combination(combination)]
+    return {name: matrix.select(names) for name, matrix in data.features.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +355,24 @@ def run_ablation(config: RunConfig, combinations: list[str],
                  contexts: list[str]) -> dict[str, dict[str, MetricReport]]:
     """Train and evaluate every combination on every context.
 
-    Audio is decoded and blocks extracted once per context; each combination
-    then slices its blocks, trains all folds and is scored on the test folds.
+    Audio is decoded and blocks extracted once per context.  Each combination
+    is then sliced out and run through ``train_context`` and
+    ``evaluate_context``, exactly as ``train`` and ``evaluate`` run it, with
+    its models under ``<out>/ablation/<combination, ';' as '+'>``.
     """
     tokens = ablation_tokens(combinations)
     rows: dict[str, dict[str, MetricReport]] = {c: {} for c in combinations}
     for context in contexts:
         data = extract_context(config, context, tokens=tokens)
-        folds = context_folds(config, data)
         for combination in combinations:
             features = select_combination(data, combination, config)
-            checkpoints = {}
-            for split in folds:
-                checkpoints[split.fold_index] = train_fold(
-                    config, data, split, features=features,
-                    combination=combination)
-            report, _ = evaluate_context(config, data,
-                                         checkpoints=checkpoints,
+            columns = features[data.recordings[0]].layout.block_names
+            sliced = dataclasses.replace(data, combination=";".join(columns),
                                          features=features)
-            rows[combination][context] = report
+            run = dataclasses.replace(
+                config, features=sliced.combination,
+                out_dir=os.path.join(config.out_dir, "ablation",
+                                     sliced.combination.replace(";", "+")))
+            train_context(run, sliced)
+            rows[combination][context], _ = evaluate_context(run, sliced)
     return rows

@@ -1,20 +1,26 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import binsed
+from binsed.audio import decode_wav
 from binsed.checkpoint import Checkpoint
 from binsed.cli import main
 from binsed.config import RunConfig, load_config, write_resolved_config
+from binsed.container import read_features
 from binsed.errors import DataError, UsageError
 from binsed.events import EventRoll
+from binsed.features import assemble_features
 from binsed.layout import FeatureLayout, FeatureMatrix
 from binsed.lstm import params_to_vector
 from binsed.pipeline import (ContextData, ablation_tokens,
                              check_fold_coverage, discover_recordings,
-                             evaluate_context, fold_seed,
-                             read_context_features)
+                             evaluate_context, extract_context, fold_seed,
+                             read_context_features, write_context_features)
 from binsed.folds import FoldSplit
 from binsed.training import fit_scaler, init_train_state
 
@@ -272,6 +278,46 @@ class TestCliPipeline:
         assert "park" in table["mel_1"]
         assert printed.splitlines()[1].startswith("mel_1")
 
+    def test_ablate_matches_extract_train_evaluate(self, workspace):
+        # The ablation extracts tdoa, mel_2 and mel_1 once and slices
+        # mel_1;tdoa out of that wider, differently ordered matrix.
+        run = workspace / "run.json"
+        out = workspace / "out_ablate"
+        assert main(["ablate", "--config", str(run), "--out", str(out),
+                     "--combinations", "tdoa;mel_2,mel_1;tdoa"]) == 0
+        assert main(["evaluate", "--config", str(run)]) == 0
+        for fold in (0, 1):
+            trained = workspace / "out" / "models" / "park" / f"fold{fold}.ckpt"
+            ablated = (out / "ablation" / "mel_1+tdoa" / "models" / "park"
+                       / f"fold{fold}.ckpt")
+            assert ablated.read_bytes() == trained.read_bytes()
+        results = json.loads((workspace / "out" / "evaluation" /
+                              "results.json").read_text())["park"]
+        table = json.loads((out / "ablation" / "table.json").read_text())
+        assert table["mel_1;tdoa"]["park"] == {
+            "error_rate": results["error_rate"],
+            "f_score": results["f_score"]}
+
+    def test_detect_features_equal_the_extracted_container(self, workspace):
+        wav = workspace / "data" / "park" / "audio" / "rec001.wav"
+        stored = read_features(workspace / "out" / "features" / "park" /
+                               "rec001.feat")
+        fresh = assemble_features(decode_wav(str(wav)), "mel_1;tdoa")
+        assert fresh.layout == stored.layout
+        assert fresh.values.tobytes() == stored.values.tobytes()
+
+    def test_recorded_combination_names_the_extracted_blocks(self, workspace):
+        config = load_config(workspace / "run.json",
+                             {"out_dir": str(workspace / "out_tokens")})
+        data = extract_context(config, "park",
+                               tokens=["tdoa", "mel_1", "pitch_1"])
+        write_context_features(config, data)
+        directory = workspace / "out_tokens" / "features" / "park"
+        manifest = json.loads((directory / "manifest.json").read_text())
+        stored = read_features(directory / "rec000.feat")
+        assert manifest["combination"] == ";".join(stored.layout.block_names)
+        assert manifest["combination"] == "tdoa;mel_1;pitch_1"
+
     def test_synth_with_explicit_plan(self, workspace):
         plan = workspace / "plan.txt"
         plan.write_text("rumble 0-1 6 0.5 2.0 noise\n")
@@ -318,3 +364,34 @@ class TestCliErrors:
         wav.write_bytes(b"RIFF")
         assert main(["detect", "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--audio", str(wav)]) == 2
+
+
+def _python(code, **env_overrides):
+    """Run ``code`` in a fresh interpreter that imports this binsed."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(binsed.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    env.update(env_overrides)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+class TestBlasPinning:
+    def test_package_import_leaves_numpy_unloaded(self):
+        assert _python("import sys, binsed; "
+                       "print('numpy' in sys.modules)") == "False"
+
+    def test_cli_pins_unset_thread_variables(self):
+        assert _python("import os, binsed.cli; print(' '.join(os.environ[v] "
+                       "for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', "
+                       "'MKL_NUM_THREADS')))") == "1 1 1"
+
+    def test_cli_keeps_a_user_setting(self):
+        assert _python("import os, binsed.cli; "
+                       "print(os.environ['OPENBLAS_NUM_THREADS'])",
+                       OPENBLAS_NUM_THREADS="2") == "2"

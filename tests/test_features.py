@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from binsed.audio import AudioClip
+from binsed.container import read_features, write_features
 from binsed.errors import DataError
 from binsed.features import (ABLATION_COMBINATIONS, FeatureConfig,
                              assemble_features, combination_layout,
-                             combination_width, compose_features,
-                             extract_block_values, parse_combination)
-from binsed.layout import FeatureLayout, FeatureMatrix, hstack_features
+                             combination_width, extract_block_values,
+                             parse_combination)
+from binsed.layout import FeatureLayout, FeatureMatrix
 
 EXPECTED_WIDTHS = {
     "mel_1": 40,
@@ -81,14 +82,6 @@ class TestLayoutContainers:
         with pytest.raises(KeyError):
             fm.block("c")
 
-    def test_hstack_frame_mismatch(self):
-        a = FeatureMatrix(values=np.zeros((5, 1)),
-                          layout=FeatureLayout((("a", 1),)))
-        b = FeatureMatrix(values=np.zeros((6, 1)),
-                          layout=FeatureLayout((("b", 1),)))
-        with pytest.raises(ValueError, match="frame counts"):
-            hstack_features([a, b])
-
 
 class TestAssembly:
     def test_all_combinations_widths_by_construction(self):
@@ -131,19 +124,31 @@ class TestAssembly:
         with pytest.raises(DataError, match="stereo"):
             assemble_features(mono, "mel_1;tdoa")
 
-    def test_compose_matches_assemble(self):
+    def test_select_matches_assemble(self):
         clip = _stereo_clip()
-        tokens = ["mel_2", "tdoa", "pitch_2", "mel_1"]
-        blocks = extract_block_values(clip, tokens)
-        for combo in ("mel_2;tdoa;pitch_2", "mel_1;tdoa", "tdoa;mel_2"):
-            composed = compose_features(blocks, combo)
+        tokens = list(dict.fromkeys(s.token for combo in ABLATION_COMBINATIONS
+                                    for s in parse_combination(combo)))
+        wide = extract_block_values(clip, tokens)
+        assert wide.width == 164
+        for combo in ABLATION_COMBINATIONS:
+            names = [s.token for s in parse_combination(combo)]
+            selected = wide.select(names)
             direct = assemble_features(clip, combo)
-            assert composed.layout.blocks == direct.layout.blocks
-            assert np.array_equal(composed.values, direct.values)
+            assert selected.layout == direct.layout, combo
+            assert np.array_equal(selected.values, direct.values), combo
 
-    def test_compose_missing_block(self):
-        with pytest.raises(ValueError, match="not extracted"):
-            compose_features({"mel_1": np.zeros((3, 40))}, "mel_1;tdoa")
+    def test_select_missing_block(self):
+        matrix = assemble_features(_stereo_clip(), "mel_1")
+        with pytest.raises(KeyError, match="tdoa"):
+            matrix.select(["mel_1", "tdoa"])
+
+    def test_values_survive_the_container_bit_for_bit(self, tmp_path):
+        matrix = assemble_features(_stereo_clip(), "mel_2;tdoa3;pitch3_2")
+        write_features(tmp_path / "clip.feat", matrix)
+        stored = read_features(tmp_path / "clip.feat")
+        assert stored.layout == matrix.layout
+        assert stored.values.dtype == matrix.values.dtype
+        assert stored.values.tobytes() == matrix.values.tobytes()
 
     def test_custom_band_counts_change_widths(self):
         clip = _stereo_clip()
