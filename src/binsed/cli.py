@@ -125,14 +125,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     contexts = _require_contexts(config)
-    write_resolved_config(config.out_dir, config)
+    extracted = [read_context_features(config, c) for c in contexts]
+    combinations = {data.combination for data in extracted}
+    if len(combinations) > 1:
+        raise DataError("contexts were extracted with different feature "
+                        "combinations: " + ", ".join(
+                            f"{context} ({data.combination})"
+                            for context, data in zip(contexts, extracted)))
     rows = {}
     payload = {}
-    for context in contexts:
-        data = read_context_features(config, context)
+    for context, data in zip(contexts, extracted):
         report, per_fold = evaluate_context(config, data)
         rows[context] = report
         payload[context] = {
+            "combination": data.combination,
             "error_rate": report.error_rate,
             "f_score": report.f_score,
             "precision": report.precision,
@@ -140,11 +146,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "counts": dataclasses.asdict(report.counts),
             "per_fold": [dataclasses.asdict(c) for c in per_fold],
         }
+    write_resolved_config(config.out_dir, config)
     payload["average"] = {
         "error_rate": float(np.mean([rows[c].error_rate for c in contexts])),
         "f_score": float(np.mean([rows[c].f_score for c in contexts])),
     }
-    table = format_results_table({config.features: rows}, contexts)
+    table = format_results_table({extracted[0].combination: rows}, contexts)
     out_dir = os.path.join(config.out_dir, "evaluation")
     os.makedirs(out_dir, exist_ok=True)
     atomic_write_bytes(os.path.join(out_dir, "results.json"),

@@ -93,12 +93,6 @@ def combination_width(combination: str, config: FeatureConfig | None = None) -> 
     return sum(block_width(s, config) for s in parse_combination(combination))
 
 
-def combination_layout(combination: str,
-                       config: FeatureConfig | None = None) -> FeatureLayout:
-    specs = parse_combination(combination)
-    return FeatureLayout(tuple((s.token, block_width(s, config)) for s in specs))
-
-
 def extract_block_values(clip: AudioClip, tokens: list[str],
                          config: FeatureConfig | None = None) -> FeatureMatrix:
     """Extract several blocks at once, sharing STFTs between them.

@@ -3,7 +3,7 @@ binary cross-entropy loss, and backpropagation through time.
 
 Shapes follow the convention (sequences, timesteps, dims).  Gate
 pre-activations are packed row-wise in the order input, forget, candidate,
-output; each layer owns an input matrix (4H, D_in), a recurrent matrix
+output; each layer has an input matrix (4H, D_in), a recurrent matrix
 (4H, H) and a bias (4H,).  Hidden and cell states start at zero for every
 sequence.  The output layer applies a per-class sigmoid to the top hidden
 state, giving independent class posteriors in (0, 1).
@@ -11,6 +11,7 @@ state, giving independent class posteriors in (0, 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,10 @@ class LstmLayer:
 
 @dataclass
 class NetworkParams:
+    """Named views over one flat vector, which Adam, clipping and
+    checkpoints use; writing a view writes the vector.  Built only by
+    vector_to_params."""
+    vector: np.ndarray       # (P,)
     layers: list[LstmLayer]
     w_out: np.ndarray        # (C, H_last)
     b_out: np.ndarray        # (C,)
@@ -62,76 +67,65 @@ class NetworkParams:
         return self.w_out.shape[0]
 
 
+def _vector_size(layer_sizes: tuple[int, ...]) -> int:
+    size = sum(4 * h * (d + h + 1)
+               for d, h in zip(layer_sizes[:-2], layer_sizes[1:-1]))
+    return size + layer_sizes[-1] * (layer_sizes[-2] + 1)
+
+
 def init_params(layer_sizes: tuple[int, ...], rng: np.random.Generator,
                 forget_bias: float = 1.0) -> NetworkParams:
     """Uniform +-1/sqrt(fan_in) weights, zero biases except the forget gate.
 
     ``layer_sizes`` runs input, hidden..., classes — e.g. (89, 32, 32, 3).
+    The draws fill w_input then w_recurrent per layer, then w_out.
     """
     if len(layer_sizes) < 3:
         raise ValueError("layer_sizes needs input, at least one hidden, output")
     if any(s <= 0 for s in layer_sizes):
         raise ValueError("layer sizes must be positive")
-    layers = []
-    for d_in, hidden in zip(layer_sizes[:-2], layer_sizes[1:-1]):
-        scale_in = 1.0 / np.sqrt(d_in)
-        scale_rec = 1.0 / np.sqrt(hidden)
-        w_input = rng.uniform(-scale_in, scale_in, size=(4 * hidden, d_in))
-        w_recurrent = rng.uniform(-scale_rec, scale_rec,
-                                  size=(4 * hidden, hidden))
-        bias = np.zeros(4 * hidden)
-        bias[hidden:2 * hidden] = forget_bias
-        layers.append(LstmLayer(w_input, w_recurrent, bias))
-    h_last = layer_sizes[-2]
-    classes = layer_sizes[-1]
-    scale = 1.0 / np.sqrt(h_last)
-    w_out = rng.uniform(-scale, scale, size=(classes, h_last))
-    b_out = np.zeros(classes)
-    return NetworkParams(layers=layers, w_out=w_out, b_out=b_out)
-
-
-def zero_like_params(params: NetworkParams) -> NetworkParams:
-    return NetworkParams(
-        layers=[LstmLayer(np.zeros_like(l.w_input), np.zeros_like(l.w_recurrent),
-                          np.zeros_like(l.bias)) for l in params.layers],
-        w_out=np.zeros_like(params.w_out), b_out=np.zeros_like(params.b_out))
+    params = vector_to_params(np.zeros(_vector_size(layer_sizes)), layer_sizes)
+    for layer in params.layers:
+        hidden = layer.hidden_size
+        layer.bias[hidden:2 * hidden] = forget_bias
+    matrices = [weights for layer in params.layers
+                for weights in (layer.w_input, layer.w_recurrent)]
+    for weights in matrices + [params.w_out]:
+        scale = 1.0 / np.sqrt(weights.shape[1])   # the fan-in is the width
+        weights[:] = rng.uniform(-scale, scale, size=weights.shape)
+    return params
 
 
 def params_to_vector(params: NetworkParams) -> np.ndarray:
-    chunks = []
-    for layer in params.layers:
-        chunks.extend((layer.w_input.ravel(), layer.w_recurrent.ravel(),
-                       layer.bias.ravel()))
-    chunks.extend((params.w_out.ravel(), params.b_out.ravel()))
-    return np.concatenate(chunks)
+    """The flat vector behind ``params`` itself, not a copy."""
+    return params.vector
 
 
 def vector_to_params(vector: np.ndarray,
                      layer_sizes: tuple[int, ...]) -> NetworkParams:
-    expected = sum(4 * h * (d + h + 1)
-                   for d, h in zip(layer_sizes[:-2], layer_sizes[1:-1]))
-    expected += layer_sizes[-1] * (layer_sizes[-2] + 1)
-    if vector.size != expected:
+    """Named reshaped views over ``vector``, not copies: writing a view
+    writes the vector.  Per layer it holds w_input, w_recurrent and bias,
+    then w_out and b_out, each in C order."""
+    if vector.ndim != 1:
+        raise ValueError(f"parameter vector must be 1-D, not {vector.shape}")
+    if vector.size != _vector_size(layer_sizes):
         raise ValueError(f"parameter vector length {vector.size} does not "
                          f"match layer sizes {layer_sizes}")
     offset = 0
 
-    def take(shape):
+    def take(*shape):
         nonlocal offset
-        size = int(np.prod(shape))
-        block = vector[offset:offset + size].reshape(shape).copy()
+        size = math.prod(shape)
+        block = vector[offset:offset + size].reshape(shape)
         offset += size
         return block
 
-    layers = []
-    for d_in, hidden in zip(layer_sizes[:-2], layer_sizes[1:-1]):
-        layers.append(LstmLayer(take((4 * hidden, d_in)),
-                                take((4 * hidden, hidden)),
-                                take((4 * hidden,))))
+    layers = [LstmLayer(take(4 * hidden, d_in), take(4 * hidden, hidden),
+                        take(4 * hidden))
+              for d_in, hidden in zip(layer_sizes[:-2], layer_sizes[1:-1])]
     classes, h_last = layer_sizes[-1], layer_sizes[-2]
-    w_out = take((classes, h_last))
-    b_out = take((classes,))
-    return NetworkParams(layers=layers, w_out=w_out, b_out=b_out)
+    return NetworkParams(vector=vector, layers=layers,
+                         w_out=take(classes, h_last), b_out=take(classes))
 
 
 def _layer_forward(layer: LstmLayer, inputs: np.ndarray) -> dict:
@@ -209,13 +203,11 @@ def bce_loss(probs: np.ndarray, targets: np.ndarray,
 
 
 def _layer_backward(layer: LstmLayer, cache: dict, d_hidden_seq: np.ndarray,
-                    input_grad: bool) -> tuple[LstmLayer, np.ndarray | None]:
-    """Layer gradients and, if ``input_grad``, the gradient (S, T, D_in)
-    with respect to the layer's inputs (else None)."""
+                    grads: LstmLayer, input_grad: bool) -> np.ndarray | None:
+    """Accumulate the layer gradients into ``grads`` and, if ``input_grad``,
+    return the gradient (S, T, D_in) with respect to the layer's inputs
+    (else None)."""
     seqs, steps, hidden = d_hidden_seq.shape
-    grads = LstmLayer(np.zeros_like(layer.w_input),
-                      np.zeros_like(layer.w_recurrent),
-                      np.zeros_like(layer.bias))
     # Gate-gradient slabs, time-major: dz_seq[t] is step t's (S, 4H) block.
     dz_seq = np.empty((steps, seqs, 4 * hidden))
     dh_carry = np.zeros((seqs, hidden))
@@ -245,14 +237,17 @@ def _layer_backward(layer: LstmLayer, cache: dict, d_hidden_seq: np.ndarray,
         grads.bias += dz.sum(axis=0)
         dh_carry = dz @ layer.w_recurrent
     if not input_grad:
-        return grads, None
-    return grads, (dz_seq @ layer.w_input).swapaxes(0, 1)
+        return None
+    return (dz_seq @ layer.w_input).swapaxes(0, 1)
 
 
 def backward(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray,
              mask: np.ndarray | None = None,
              reduction: str = "mean") -> tuple[float, NetworkParams]:
-    """Loss and exact gradients of bce_loss(forward(inputs), targets)."""
+    """Loss and exact gradients of bce_loss(forward(inputs), targets).
+
+    The gradients are views over one fresh flat vector, laid out like
+    ``params``."""
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     probs, caches = forward(params, inputs, return_cache=True)
@@ -270,16 +265,16 @@ def backward(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray,
     seqs, steps, _ = top_hidden.shape
     flat_dlogits = d_logits.reshape(seqs * steps, -1)
     flat_hidden = top_hidden.reshape(seqs * steps, -1)
-    w_out = flat_dlogits.T @ flat_hidden
-    b_out = flat_dlogits.sum(axis=0)
+    grads = vector_to_params(np.zeros(params.vector.size), params.layer_sizes)
+    grads.w_out[:] = flat_dlogits.T @ flat_hidden
+    grads.b_out[:] = flat_dlogits.sum(axis=0)
     d_hidden = d_logits @ params.w_out
-    layer_grads = [None] * len(params.layers)
     for index in reversed(range(len(params.layers))):
         # The first layer's input gradient would have no consumer.
-        layer_grads[index], d_hidden = _layer_backward(
-            params.layers[index], caches[index], d_hidden,
-            input_grad=index > 0)
-    return loss, NetworkParams(layers=layer_grads, w_out=w_out, b_out=b_out)
+        d_hidden = _layer_backward(params.layers[index], caches[index],
+                                   d_hidden, grads.layers[index],
+                                   input_grad=index > 0)
+    return loss, grads
 
 
 def clip_gradient_norm(grad_vector: np.ndarray, max_norm: float) -> np.ndarray:

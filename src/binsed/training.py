@@ -245,10 +245,12 @@ class TrainState:
 
     @property
     def params(self) -> NetworkParams:
+        """Views over ``params_vector``: writing one writes the state."""
         return vector_to_params(self.params_vector, self.layer_sizes)
 
     @property
     def best_params(self) -> NetworkParams:
+        """Views over ``best_params_vector``, else ``params_vector``."""
         vector = (self.best_params_vector if self.best_params_vector is not None
                   else self.params_vector)
         return vector_to_params(vector, self.layer_sizes)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -240,6 +241,53 @@ class TestCliPipeline:
         assert "park" in results and "average" in results
         assert len(results["park"]["per_fold"]) == 2
         assert (out / "results.txt").read_text().startswith("features")
+
+    def test_evaluate_labels_rows_with_the_extracted_combination(
+            self, workspace, capsys):
+        # Without "features" the config resolves to the default
+        # mel_2;tdoa;pitch_2, but the context was extracted as mel_1;tdoa.
+        config = json.loads((workspace / "run.json").read_text())
+        del config["features"]
+        path = workspace / "no_features.json"
+        path.write_text(json.dumps(config))
+        assert main(["evaluate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith(
+            "mel_1;tdoa ")
+        out = workspace / "out" / "evaluation"
+        results = json.loads((out / "results.json").read_text())
+        assert results["park"]["combination"] == "mel_1;tdoa"
+        assert (out / "results.txt").read_text().splitlines()[1].startswith(
+            "mel_1;tdoa ")
+
+    def test_evaluate_refuses_mixed_combinations(self, workspace, capsys):
+        data = workspace / "data_mixed"
+        out = workspace / "out_mixed"
+        for context in ("park", "street"):
+            shutil.copytree(workspace / "data" / "park", data / context)
+        for context, features in (("park", "mel_1;tdoa"), ("street", "mel_1")):
+            assert main(["extract", "--config", str(workspace / "run.json"),
+                         "--data-root", str(data), "--out", str(out),
+                         "--context", context, "--features", features]) == 0
+        (out / "config.json").unlink()
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(workspace / "run.json"),
+                     "--data-root", str(data), "--out", str(out),
+                     "--context", "park", "--context", "street"]) == 2
+        err = capsys.readouterr().err
+        assert "park (mel_1;tdoa)" in err and "street (mel_1)" in err
+        assert not (out / "config.json").exists()
+
+    def test_failed_evaluate_writes_no_config(self, workspace):
+        run = str(workspace / "run.json")
+        # No features, as in an ablate per-combination directory.
+        bare = workspace / "out_bare"
+        assert main(["evaluate", "--config", run, "--out", str(bare)]) == 2
+        assert not (bare / "config.json").exists()
+        # Features but no checkpoints.
+        unfit = workspace / "out_unfit"
+        shutil.copytree(workspace / "out" / "features", unfit / "features")
+        assert main(["evaluate", "--config", run, "--out", str(unfit)]) == 2
+        assert not (unfit / "config.json").exists()
 
     def test_detect_writes_event_list(self, workspace):
         wav = workspace / "data" / "park" / "audio" / "rec000.wav"

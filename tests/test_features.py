@@ -5,9 +5,8 @@ from binsed.audio import AudioClip
 from binsed.container import read_features, write_features
 from binsed.errors import DataError
 from binsed.features import (ABLATION_COMBINATIONS, FeatureConfig,
-                             assemble_features, combination_layout,
-                             combination_width, extract_block_values,
-                             parse_combination)
+                             assemble_features, combination_width,
+                             extract_block_values, parse_combination)
 from binsed.layout import FeatureLayout, FeatureMatrix
 
 EXPECTED_WIDTHS = {
@@ -56,7 +55,8 @@ class TestGrammar:
         assert len(ABLATION_COMBINATIONS) == 14
 
     def test_layout_matches_tokens(self):
-        layout = combination_layout("mel_2;tdoa;pitch_2")
+        layout = assemble_features(_stereo_clip(0.5),
+                                   "mel_2;tdoa;pitch_2").layout
         assert layout.blocks == (("mel_2", 80), ("tdoa", 5), ("pitch_2", 4))
         assert layout.block_slice("tdoa") == slice(80, 85)
 

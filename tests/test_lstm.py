@@ -5,14 +5,28 @@ import pytest
 
 from binsed.lstm import (PROB_EPS, LstmLayer, NetworkParams, backward,
                          bce_loss, clip_gradient_norm, forward, init_params,
-                         params_to_vector, sigmoid, vector_to_params,
-                         zero_like_params)
+                         params_to_vector, sigmoid, vector_to_params)
 
 LN2 = 0.6931471805599453
 
 
 def _network(layer_sizes=(3, 4, 3, 2), seed=0):
     return init_params(layer_sizes, np.random.default_rng(seed))
+
+
+def _zeros_like(params):
+    return vector_to_params(np.zeros_like(params.vector), params.layer_sizes)
+
+
+def _assert_views_tile_vector(params):
+    """Every named array is a view of params.vector, in vector order."""
+    views = []
+    for layer in params.layers:
+        views.extend((layer.w_input, layer.w_recurrent, layer.bias))
+    views.extend((params.w_out, params.b_out))
+    assert all(np.shares_memory(v, params.vector) for v in views)
+    assert np.array_equal(np.concatenate([v.ravel() for v in views]),
+                          params.vector)
 
 
 def _batch(params, seqs=2, steps=4, seed=1):
@@ -57,7 +71,7 @@ class TestForward:
                            rtol=1e-12, atol=1e-14)
 
     def test_zero_weights_give_half_posteriors(self):
-        params = zero_like_params(_network())
+        params = _zeros_like(_network())
         inputs, _ = _batch(params)
         assert np.array_equal(forward(params, inputs),
                               np.full((2, 4, 2), 0.5))
@@ -117,12 +131,23 @@ class TestInit:
         with pytest.raises(ValueError):
             init_params((4, 0, 2), rng)
 
+    @pytest.mark.parametrize("sizes", [(89, 32, 32, 3), (6, 1, 1, 2),
+                                       (6, 8, 3)])
+    @pytest.mark.parametrize("forget_bias", [0.0, 1.0])
+    def test_vector_bit_identical_to_per_array_init(self, sizes, forget_bias):
+        params = init_params(sizes, np.random.default_rng(11),
+                             forget_bias=forget_bias)
+        want = seed_init_vector(sizes, np.random.default_rng(11), forget_bias)
+        assert np.array_equal(params.vector, want)
+
 
 class TestVectorRoundTrip:
     def test_round_trip_exact(self):
         params = _network((5, 6, 4, 3), seed=4)
         vector = params_to_vector(params)
+        assert vector is params.vector
         back = vector_to_params(vector, params.layer_sizes)
+        assert params_to_vector(back) is vector
         for a, b in zip(params.layers, back.layers):
             assert np.array_equal(a.w_input, b.w_input)
             assert np.array_equal(a.w_recurrent, b.w_recurrent)
@@ -130,11 +155,32 @@ class TestVectorRoundTrip:
         assert np.array_equal(params.w_out, back.w_out)
         assert np.array_equal(params.b_out, back.b_out)
 
+    def test_writing_a_view_writes_the_vector(self):
+        params = _network((5, 6, 4, 3), seed=4)
+        vector = params_to_vector(params)
+        params.layers[0].bias[0] = 7.5
+        assert vector[4 * 6 * 5 + 4 * 6 * 6] == 7.5
+        params.b_out[:] = -2.0
+        assert np.array_equal(vector[-3:], np.full(3, -2.0))
+        vector[0] = 3.25
+        assert params.layers[0].w_input[0, 0] == 3.25
+
+    def test_views_tile_the_vector_in_order(self):
+        _assert_views_tile_vector(_network((5, 6, 4, 3), seed=4))
+
     def test_wrong_length_rejected(self):
         params = _network()
         vector = params_to_vector(params)
         with pytest.raises(ValueError, match="length"):
             vector_to_params(vector[:-1], params.layer_sizes)
+
+    def test_two_dimensional_vector_rejected(self):
+        params = _network()
+        vector = params_to_vector(params)
+        with pytest.raises(ValueError, match="1-D"):
+            vector_to_params(vector.reshape(1, -1), params.layer_sizes)
+        with pytest.raises(ValueError, match="1-D"):
+            vector_to_params(vector.reshape(-1, 1), params.layer_sizes)
 
 
 class TestLoss:
@@ -267,13 +313,23 @@ class TestBackward:
 
     def test_saturated_posteriors_stop_gradient(self):
         params = _network((2, 3, 1), seed=3)
-        params.b_out = np.array([50.0])  # sigmoid(50) rounds to exactly 1.0
+        params.b_out[:] = 50.0  # sigmoid(50) rounds to exactly 1.0
         inputs = np.zeros((1, 2, 2))
         targets = np.zeros((1, 2, 1))
         loss, grads = backward(params, inputs, targets)
         assert loss > 10  # clamped cost, not infinity
         assert np.array_equal(params_to_vector(grads),
                               np.zeros(params_to_vector(params).size))
+
+    def test_gradients_are_views_over_one_vector(self):
+        params = _network((3, 4, 3, 2))
+        inputs, targets = _batch(params)
+        _, grads = backward(params, inputs, targets)
+        vector = params_to_vector(grads)
+        assert vector is not params.vector
+        _assert_views_tile_vector(grads)
+        grads.b_out[0] = 123.0
+        assert vector[-2] == 123.0
 
 
 class TestUtilities:
@@ -291,6 +347,26 @@ class TestUtilities:
         assert np.linalg.norm(clipped) == pytest.approx(1.0)
         assert np.allclose(clipped, [0.6, 0.8])
         assert clip_gradient_norm(grad, 10.0) is grad
+
+
+def seed_init_vector(layer_sizes, rng, forget_bias):
+    """The per-array initialiser, flattened as the parameter vector."""
+    chunks = []
+    for d_in, hidden in zip(layer_sizes[:-2], layer_sizes[1:-1]):
+        scale_in = 1.0 / np.sqrt(d_in)
+        scale_rec = 1.0 / np.sqrt(hidden)
+        w_input = rng.uniform(-scale_in, scale_in, size=(4 * hidden, d_in))
+        w_recurrent = rng.uniform(-scale_rec, scale_rec,
+                                  size=(4 * hidden, hidden))
+        bias = np.zeros(4 * hidden)
+        bias[hidden:2 * hidden] = forget_bias
+        chunks.extend((w_input.ravel(), w_recurrent.ravel(), bias))
+    h_last = layer_sizes[-2]
+    classes = layer_sizes[-1]
+    scale = 1.0 / np.sqrt(h_last)
+    w_out = rng.uniform(-scale, scale, size=(classes, h_last))
+    chunks.extend((w_out.ravel(), np.zeros(classes)))
+    return np.concatenate(chunks)
 
 
 def seed_sigmoid(x):
@@ -376,7 +452,7 @@ def seed_backward(params, inputs, targets, mask):
     d_logits = d_logits / (float(mask.sum()) * probs.shape[2])
     seqs, steps, _ = x.shape
     flat_dlogits = d_logits.reshape(seqs * steps, -1)
-    grads = zero_like_params(params)
+    grads = _zeros_like(params)
     grads.w_out = flat_dlogits.T @ x.reshape(seqs * steps, -1)
     grads.b_out = flat_dlogits.sum(axis=0)
     d_hidden = d_logits @ params.w_out
