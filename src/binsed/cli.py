@@ -29,7 +29,7 @@ from .errors import DataError, TrainingError, UsageError
 from .events import roll_to_events
 from .features import ABLATION_COMBINATIONS, assemble_features
 from .metrics import format_results_table
-from .pipeline import (evaluate_context, extract_context,
+from .pipeline import (ablation_tokens, evaluate_context, extract_context,
                        read_context_features, run_ablation, train_context,
                        write_context_features)
 from .synth import (SynthClass, generate_dataset, parse_scene_plan,
@@ -97,27 +97,25 @@ def _require_contexts(config: RunConfig) -> list[str]:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    contexts = _require_contexts(config)
+    extracted = [extract_context(config, c) for c in _require_contexts(config)]
     write_resolved_config(config.out_dir, config)
-    for context in contexts:
-        data = extract_context(config, context)
+    for data in extracted:
         write_context_features(config, data)
         print(f"extracted {len(data.recordings)} recordings for "
-              f"context {context!r} ({data.combination}, "
+              f"context {data.context!r} ({data.combination}, "
               f"width {data.features[data.recordings[0]].width})")
     return EXIT_OK
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    contexts = _require_contexts(config)
+    extracted = [read_context_features(config, c)
+                 for c in _require_contexts(config)]
     write_resolved_config(config.out_dir, config)
-    for context in contexts:
-        data = read_context_features(config, context)
-        checkpoints = train_context(config, data)
-        for checkpoint in checkpoints:
+    for data in extracted:
+        for checkpoint in train_context(config, data):
             state = checkpoint.state
-            print(f"{context}: trained fold with best validation ER "
+            print(f"{data.context}: trained fold with best validation ER "
                   f"{state.best_validation_er:.3f} after {state.epoch} epochs")
     return EXIT_OK
 
@@ -126,12 +124,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     contexts = _require_contexts(config)
     extracted = [read_context_features(config, c) for c in contexts]
-    combinations = {data.combination for data in extracted}
-    if len(combinations) > 1:
+    if len({data.combination for data in extracted}) > 1:
         raise DataError("contexts were extracted with different feature "
                         "combinations: " + ", ".join(
                             f"{context} ({data.combination})"
                             for context, data in zip(contexts, extracted)))
+    combination = extracted[0].combination
+    if args.features and "".join(args.features.split()) != combination:
+        raise DataError(f"--features {args.features} conflicts with the "
+                        f"extracted combination {combination}")
+    config = dataclasses.replace(config, features=combination)
     rows = {}
     payload = {}
     for context, data in zip(contexts, extracted):
@@ -151,7 +153,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "error_rate": float(np.mean([rows[c].error_rate for c in contexts])),
         "f_score": float(np.mean([rows[c].f_score for c in contexts])),
     }
-    table = format_results_table({extracted[0].combination: rows}, contexts)
+    table = format_results_table({combination: rows}, contexts)
     out_dir = os.path.join(config.out_dir, "evaluation")
     os.makedirs(out_dir, exist_ok=True)
     atomic_write_bytes(os.path.join(out_dir, "results.json"),
@@ -188,9 +190,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     contexts = _require_contexts(config)
-    write_resolved_config(config.out_dir, config)
     combinations = list(config.combinations) or list(ABLATION_COMBINATIONS)
-    rows = run_ablation(config, combinations, contexts)
+    extracted = [extract_context(config, c, tokens=ablation_tokens(combinations))
+                 for c in contexts]
+    write_resolved_config(config.out_dir, config)
+    rows = run_ablation(config, combinations, extracted)
     table = format_results_table(rows, contexts)
     out_dir = os.path.join(config.out_dir, "ablation")
     os.makedirs(out_dir, exist_ok=True)

@@ -9,6 +9,7 @@ subscript.  Per-channel widths: mel 40, pitch 2, pitch3 6, tdoa 5, tdoa3 15.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,21 +112,21 @@ def extract_block_values(clip: AudioClip, tokens: list[str],
             f"need a stereo recording, got {clip.channel_count} channel(s)")
 
     fft_size = next_pow2(config.grid.frame_samples(clip.sample_rate))
-    mono_spec: Spectrogram | None = None
-    stereo_specs: tuple[Spectrogram, ...] | None = None
 
-    def get_mono() -> Spectrogram:
-        nonlocal mono_spec
-        if mono_spec is None:
-            mono = downmix_to_mono(clip) if clip.channel_count == 2 else clip
-            mono_spec = stft(mono, config.grid, fft_size)[0]
-        return mono_spec
+    @functools.cache
+    def spectra(channels: int) -> tuple[Spectrogram, ...]:
+        if channels == 2:
+            return stft(clip, config.grid, fft_size)
+        mono = downmix_to_mono(clip) if clip.channel_count == 2 else clip
+        return stft(mono, config.grid, fft_size)
 
-    def get_stereo() -> tuple[Spectrogram, ...]:
-        nonlocal stereo_specs
-        if stereo_specs is None:
-            stereo_specs = stft(clip, config.grid, fft_size)
-        return stereo_specs
+    # A pitch block is the first (frequency, periodicity) pair of pitch3, so
+    # one top-3 pass per spectrum serves both.
+    @functools.cache
+    def pitch3(channels: int, channel: int) -> np.ndarray:
+        return extract_pitch(spectra(channels)[channel], top_k=3,
+                             f_min=config.pitch_f_min, f_max=config.pitch_f_max,
+                             threshold=config.pitch_threshold).values
 
     filterbank = build_mel_filterbank(config.mel_bands, fft_size,
                                       clip.sample_rate)
@@ -142,16 +143,13 @@ def extract_block_values(clip: AudioClip, tokens: list[str],
             columns.append(delays[spec.family])
             continue
         # Per-channel blocks: left columns first, then right.
-        for ch_spec in [get_mono()] if spec.channels == 1 else get_stereo():
+        for channel, ch_spec in enumerate(spectra(spec.channels)):
             if spec.family == "mel":
                 columns.append(extract_log_mel(ch_spec, filterbank,
                                                floor=config.log_floor).values)
             else:
-                top_k = 1 if spec.family == "pitch" else 3
-                columns.append(extract_pitch(
-                    ch_spec, top_k=top_k, f_min=config.pitch_f_min,
-                    f_max=config.pitch_f_max,
-                    threshold=config.pitch_threshold).values)
+                top3 = pitch3(spec.channels, channel)
+                columns.append(top3 if spec.family == "pitch3" else top3[:, :2])
     layout = FeatureLayout(tuple((s.token, block_width(s, config))
                                  for s in specs))
     return FeatureMatrix(values=np.hstack(columns).astype(np.float32),

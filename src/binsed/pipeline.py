@@ -352,18 +352,17 @@ def ablation_tokens(combinations: list[str]) -> list[str]:
 
 
 def run_ablation(config: RunConfig, combinations: list[str],
-                 contexts: list[str]) -> dict[str, dict[str, MetricReport]]:
-    """Train and evaluate every combination on every context.
+                 extracted: list[ContextData]) -> dict[str, dict[str, MetricReport]]:
+    """Train and evaluate every combination on every extracted context.
 
-    Audio is decoded and blocks extracted once per context.  Each combination
-    is then sliced out and run through ``train_context`` and
-    ``evaluate_context``, exactly as ``train`` and ``evaluate`` run it, with
-    its models under ``<out>/ablation/<combination, ';' as '+'>``.
+    Each context holds the blocks of ``ablation_tokens(combinations)``,
+    extracted once.  Each combination is sliced out and run through
+    ``train_context`` and ``evaluate_context``, exactly as ``train`` and
+    ``evaluate`` run it, with its models under
+    ``<out>/ablation/<combination, ';' as '+'>``.
     """
-    tokens = ablation_tokens(combinations)
     rows: dict[str, dict[str, MetricReport]] = {c: {} for c in combinations}
-    for context in contexts:
-        data = extract_context(config, context, tokens=tokens)
+    for data in extracted:
         for combination in combinations:
             features = select_combination(data, combination, config)
             columns = features[data.recordings[0]].layout.block_names
@@ -374,5 +373,5 @@ def run_ablation(config: RunConfig, combinations: list[str],
                 out_dir=os.path.join(config.out_dir, "ablation",
                                      sliced.combination.replace(";", "+")))
             train_context(run, sliced)
-            rows[combination][context], _ = evaluate_context(run, sliced)
+            rows[combination][data.context], _ = evaluate_context(run, sliced)
     return rows

@@ -38,38 +38,37 @@ def extract_pitch(spec: Spectrogram, top_k: int = 1, f_min: float = 100.0,
     k_lo = max(1, int(np.ceil(f_min / bin_hz)))
     k_hi = min(spec.bin_count - 2, int(np.floor(f_max / bin_hz)))
     values = np.zeros((spec.frame_count, 2 * top_k))
+    layout = FeatureLayout((("pitch", 2 * top_k),))
     if k_hi < k_lo:
-        return FeatureMatrix(values=values,
-                             layout=FeatureLayout((("pitch", 2 * top_k),)))
+        return FeatureMatrix(values=values, layout=layout)
 
-    log_mag = np.log(np.maximum(magnitude, _TINY))
-    for t in range(spec.frame_count):
-        row = magnitude[t]
-        frame_max = row.max()
-        if frame_max <= 0.0:
-            continue
-        seg = row[k_lo - 1:k_hi + 2]
-        center = seg[1:-1]
-        is_peak = (center > seg[:-2]) & (center >= seg[2:]) \
-            & (center >= threshold * frame_max)
-        peak_bins = np.nonzero(is_peak)[0] + k_lo
-        if peak_bins.size == 0:
-            continue
-        alpha = log_mag[t, peak_bins - 1]
-        beta = log_mag[t, peak_bins]
-        gamma = log_mag[t, peak_bins + 1]
-        denom = alpha - 2.0 * beta + gamma
-        shift = np.where(np.abs(denom) > 0.0,
-                         0.5 * (alpha - gamma) / np.where(denom == 0.0, 1.0, denom),
-                         0.0)
-        shift = np.clip(shift, -0.5, 0.5)
-        interp_log = beta - 0.25 * (alpha - gamma) * shift
-        interp_mag = np.exp(interp_log)
-        freqs = np.clip((peak_bins + shift) * bin_hz, f_min, f_max)
-        order = np.argsort(-interp_mag, kind="stable")[:top_k]
-        periodicity = np.clip(interp_mag[order] / frame_max, 0.0, 1.0)
-        for rank, idx in enumerate(order):
-            values[t, 2 * rank] = freqs[idx]
-            values[t, 2 * rank + 1] = periodicity[rank]
-    return FeatureMatrix(values=values,
-                         layout=FeatureLayout((("pitch", 2 * top_k),)))
+    # A frame whose maximum is 0 is all zeros and has no strict peak.
+    frame_max = magnitude.max(axis=1)
+    center = magnitude[:, k_lo:k_hi + 1]
+    is_peak = (center > magnitude[:, k_lo - 1:k_hi]) \
+        & (center >= magnitude[:, k_lo + 1:k_hi + 2]) \
+        & (center >= threshold * frame_max[:, None])
+    frames, peak_bins = np.nonzero(is_peak)
+    peak_bins += k_lo
+    # Log-magnitudes of the peak bins and their two neighbours only; the
+    # loop oracle in the tests took the log over the whole spectrum.
+    neighbours = magnitude[frames[:, None], peak_bins[:, None] + (-1, 0, 1)]
+    log_mag = np.log(np.maximum(neighbours, _TINY))
+    alpha, beta, gamma = log_mag.T
+    denom = alpha - 2.0 * beta + gamma
+    shift = np.where(np.abs(denom) > 0.0,
+                     0.5 * (alpha - gamma) / np.where(denom == 0.0, 1.0, denom),
+                     0.0)
+    shift = np.clip(shift, -0.5, 0.5)
+    interp_mag = np.exp(beta - 0.25 * (alpha - gamma) * shift)
+    freqs = np.clip((peak_bins + shift) * bin_hz, f_min, f_max)
+    periodicity = np.clip(interp_mag / frame_max[frames], 0.0, 1.0)
+    # Rank peaks per frame by decreasing magnitude, ties in bin order.
+    order = np.lexsort((-interp_mag, frames))
+    frames = frames[order]
+    rank = np.arange(frames.size) - np.searchsorted(frames, frames)
+    keep = rank < top_k
+    frames, rank, order = frames[keep], rank[keep], order[keep]
+    values[frames, 2 * rank] = freqs[order]
+    values[frames, 2 * rank + 1] = periodicity[order]
+    return FeatureMatrix(values=values, layout=layout)

@@ -289,6 +289,37 @@ class TestCliPipeline:
         assert main(["evaluate", "--config", run, "--out", str(unfit)]) == 2
         assert not (unfit / "config.json").exists()
 
+    def _trained_copy(self, workspace, name):
+        out = workspace / name
+        for part in ("features", "models"):
+            shutil.copytree(workspace / "out" / part, out / part)
+        return out
+
+    def test_evaluate_refuses_conflicting_features(self, workspace, capsys):
+        out = self._trained_copy(workspace, "out_conflict")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(workspace / "run.json"),
+                     "--out", str(out), "--features", "mel_2;tdoa"]) == 2
+        err = capsys.readouterr().err
+        assert "mel_2;tdoa conflicts" in err and "mel_1;tdoa" in err
+        assert not (out / "config.json").exists()
+        assert not (out / "evaluation").exists()
+
+    def test_evaluate_records_the_extracted_combination(self, workspace):
+        # The config resolves to the default mel_2;tdoa;pitch_2, but the
+        # context was extracted as mel_1;tdoa: config.json says what ran.
+        config = json.loads((workspace / "run.json").read_text())
+        del config["features"]
+        path = workspace / "default_features.json"
+        path.write_text(json.dumps(config))
+        out = self._trained_copy(workspace, "out_recorded")
+        assert main(["evaluate", "--config", str(path), "--out", str(out)]) == 0
+        recorded = json.loads((out / "config.json").read_text())
+        assert recorded["features"] == "mel_1;tdoa"
+        # An explicit --features that names the same blocks is no conflict.
+        assert main(["evaluate", "--config", str(path), "--out", str(out),
+                     "--features", "mel_1; tdoa"]) == 0
+
     def test_detect_writes_event_list(self, workspace):
         wav = workspace / "data" / "park" / "audio" / "rec000.wav"
         ckpt = workspace / "out" / "models" / "park" / "fold0.ckpt"
@@ -406,6 +437,15 @@ class TestCliErrors:
     def test_train_before_extract_is_data_error(self, tmp_path):
         assert main(["train", "--context", "park",
                      "--out", str(tmp_path / "empty")]) == 2
+
+    @pytest.mark.parametrize("command", ["extract", "train", "ablate"])
+    def test_failed_run_writes_no_config(self, tmp_path, command):
+        # extract and ablate find no recordings; train finds no features.
+        out = tmp_path / f"run_{command}"
+        assert main([command, "--context", "park", "--out", str(out),
+                     "--data-root", str(tmp_path / "nowhere"),
+                     "--combinations", "mel_1"]) == 2
+        assert not (out / "config.json").exists()
 
     def test_detect_missing_checkpoint_is_data_error(self, tmp_path):
         wav = tmp_path / "x.wav"

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from binsed.audio import AudioClip, FrameGrid, stft
+import binsed.features
+from binsed.audio import (AudioClip, FrameGrid, Spectrogram, decode_wav,
+                          downmix_to_mono, stft)
+from binsed.cli import main
+from binsed.features import extract_block_values
+from binsed.layout import FeatureLayout, FeatureMatrix
 from binsed.pitch import extract_pitch
 
 
@@ -117,3 +122,144 @@ class TestRangeAndEdges:
             extract_pitch(spec, f_min=500.0, f_max=100.0)
         with pytest.raises(ValueError):
             extract_pitch(spec, f_max=9000.0)  # beyond Nyquist
+
+
+def loop_extract_pitch(spec, top_k=1, f_min=100.0, f_max=4000.0,
+                       threshold=0.1):
+    """The per-frame loop extract_pitch replaced, kept as the reference."""
+    magnitude = np.abs(spec.bins)
+    bin_hz = spec.sample_rate / spec.fft_size
+    k_lo = max(1, int(np.ceil(f_min / bin_hz)))
+    k_hi = min(spec.bin_count - 2, int(np.floor(f_max / bin_hz)))
+    values = np.zeros((spec.frame_count, 2 * top_k))
+    if k_hi < k_lo:
+        return FeatureMatrix(values=values,
+                             layout=FeatureLayout((("pitch", 2 * top_k),)))
+
+    log_mag = np.log(np.maximum(magnitude, 1e-300))
+    for t in range(spec.frame_count):
+        row = magnitude[t]
+        frame_max = row.max()
+        if frame_max <= 0.0:
+            continue
+        seg = row[k_lo - 1:k_hi + 2]
+        center = seg[1:-1]
+        is_peak = (center > seg[:-2]) & (center >= seg[2:]) \
+            & (center >= threshold * frame_max)
+        peak_bins = np.nonzero(is_peak)[0] + k_lo
+        if peak_bins.size == 0:
+            continue
+        alpha = log_mag[t, peak_bins - 1]
+        beta = log_mag[t, peak_bins]
+        gamma = log_mag[t, peak_bins + 1]
+        denom = alpha - 2.0 * beta + gamma
+        shift = np.where(np.abs(denom) > 0.0,
+                         0.5 * (alpha - gamma) / np.where(denom == 0.0, 1.0, denom),
+                         0.0)
+        shift = np.clip(shift, -0.5, 0.5)
+        interp_log = beta - 0.25 * (alpha - gamma) * shift
+        interp_mag = np.exp(interp_log)
+        freqs = np.clip((peak_bins + shift) * bin_hz, f_min, f_max)
+        order = np.argsort(-interp_mag, kind="stable")[:top_k]
+        periodicity = np.clip(interp_mag[order] / frame_max, 0.0, 1.0)
+        for rank, idx in enumerate(order):
+            values[t, 2 * rank] = freqs[idx]
+            values[t, 2 * rank + 1] = periodicity[rank]
+    return FeatureMatrix(values=values,
+                         layout=FeatureLayout((("pitch", 2 * top_k),)))
+
+
+@pytest.fixture(scope="module")
+def oracle_spectra(tmp_path_factory):
+    """Spectra that cover what the pitch search meets: the README quick-start
+    corpus (mono downmix, left and right), silence, uniform noise and tones
+    at 16 and 44.1 kHz, and a one-frame clip."""
+    root = tmp_path_factory.mktemp("pitch_oracle")
+    assert main(["synth", "--data-root", str(root), "--context", "park",
+                 "--recordings", "6", "--duration", "20", "--seed", "3"]) == 0
+    spectra = {}
+    for index in range(6):
+        clip = decode_wav(str(root / "park" / "audio" / f"rec{index:03d}.wav"))
+        left, right = stft(clip)
+        spectra[f"rec{index:03d}_mono"] = stft(downmix_to_mono(clip))[0]
+        spectra[f"rec{index:03d}_left"] = left
+        spectra[f"rec{index:03d}_right"] = right
+    rng = np.random.default_rng(11)
+    for rate in (16000, 44100):
+        spectra[f"silence_{rate}"] = stft(
+            AudioClip(samples=np.zeros((1, rate)), sample_rate=rate))[0]
+        spectra[f"noise_{rate}"] = stft(AudioClip(
+            samples=rng.uniform(-1.0, 1.0, (1, 2 * rate)), sample_rate=rate))[0]
+        spectra[f"tones_{rate}"] = stft(_tone_clip(
+            [(440.0, 1.0), (1320.0, 0.55), (2750.0, 0.3)], sample_rate=rate))[0]
+    one_frame = AudioClip(samples=rng.uniform(-1.0, 1.0, (1, 640)),
+                          sample_rate=16000)
+    spectra["one_frame"] = stft(one_frame)[0]
+    assert spectra["one_frame"].frame_count == 1
+    return spectra
+
+
+_ORACLE_NAMES = ([f"rec{i:03d}_{ch}" for i in range(6)
+                  for ch in ("mono", "left", "right")]
+                 + [f"{kind}_{rate}" for kind in ("silence", "noise", "tones")
+                    for rate in (16000, 44100)]
+                 + ["one_frame"])
+
+
+class TestLoopEquivalence:
+    @pytest.mark.parametrize("name", _ORACLE_NAMES)
+    def test_bit_identical_to_the_frame_loop(self, oracle_spectra, name):
+        spec = oracle_spectra[name]
+        for top_k in (1, 3):
+            for threshold in (0.0, 0.1, 0.9):
+                want = loop_extract_pitch(spec, top_k, threshold=threshold)
+                got = extract_pitch(spec, top_k, threshold=threshold)
+                assert got.layout == want.layout
+                assert np.array_equal(got.values, want.values), \
+                    (top_k, threshold)
+
+    @pytest.mark.parametrize("name", _ORACLE_NAMES)
+    def test_top_one_is_the_first_pair_of_top_three(self, oracle_spectra,
+                                                    name):
+        spec = oracle_spectra[name]
+        assert np.array_equal(extract_pitch(spec, 1).values,
+                              extract_pitch(spec, 3).values[:, :2])
+
+    def test_empty_search_range_is_zero_filled(self, oracle_spectra):
+        # 100-105 Hz falls between two 15.6 Hz bins: k_hi < k_lo.
+        spec = oracle_spectra["tones_16000"]
+        got = extract_pitch(spec, 3, f_min=100.0, f_max=105.0)
+        want = loop_extract_pitch(spec, 3, f_min=100.0, f_max=105.0)
+        assert np.array_equal(got.values, want.values)
+        assert got.values.shape == (spec.frame_count, 6)
+        assert not got.values.any()
+        # Two bins only: no bin has a neighbour on both sides.
+        tiny = Spectrogram(bins=np.ones((4, 2), dtype=complex), fft_size=2,
+                           sample_rate=16000)
+        assert np.array_equal(extract_pitch(tiny, 2).values,
+                              loop_extract_pitch(tiny, 2).values)
+        assert extract_pitch(tiny, 2).values.shape == (4, 4)
+
+
+class TestOnePassPerSpectrum:
+    def test_pitch_blocks_share_one_top_three_pass(self, monkeypatch):
+        clip = AudioClip(
+            samples=np.random.default_rng(2).uniform(-1.0, 1.0, (2, 16000)),
+            sample_rate=16000)
+        calls = []
+
+        def counting(spec, *args, **kwargs):
+            calls.append(spec.channel_index)
+            return extract_pitch(spec, *args, **kwargs)
+
+        monkeypatch.setattr(binsed.features, "extract_pitch", counting)
+        got = extract_block_values(
+            clip, ["pitch_1", "pitch_2", "pitch3_1", "pitch3_2"])
+        assert len(calls) == 3  # mono, left, right
+        left, right = stft(clip)
+        mono = stft(downmix_to_mono(clip))[0]
+        want = np.hstack([extract_pitch(s, top_k).values
+                          for top_k, specs in ((1, [mono]), (1, [left, right]),
+                                               (3, [mono]), (3, [left, right]))
+                          for s in specs]).astype(np.float32)
+        assert np.array_equal(got.values, want)
