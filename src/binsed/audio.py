@@ -94,9 +94,6 @@ class Spectrogram:
     def bin_count(self) -> int:
         return self.bins.shape[1]
 
-    def bin_frequencies(self) -> np.ndarray:
-        return np.arange(self.bin_count) * (self.sample_rate / self.fft_size)
-
 
 def next_pow2(n: int) -> int:
     p = 1

@@ -29,9 +29,9 @@ from .errors import DataError, TrainingError, UsageError
 from .events import roll_to_events
 from .features import ABLATION_COMBINATIONS, assemble_features
 from .metrics import format_results_table
-from .pipeline import (ablation_tokens, evaluate_context, extract_context,
-                       read_context_features, run_ablation, train_context,
-                       write_context_features)
+from .pipeline import (ContextData, ablation_tokens, evaluate_context,
+                       extract_context, read_context_features, run_ablation,
+                       train_context, write_context_features)
 from .synth import (SynthClass, generate_dataset, parse_scene_plan,
                     synthesize_scene, write_scene)
 from .training import detect_roll
@@ -107,20 +107,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    extracted = [read_context_features(config, c)
-                 for c in _require_contexts(config)]
-    write_resolved_config(config.out_dir, config)
-    for data in extracted:
-        for checkpoint in train_context(config, data):
-            state = checkpoint.state
-            print(f"{data.context}: trained fold with best validation ER "
-                  f"{state.best_validation_er:.3f} after {state.epoch} epochs")
-    return EXIT_OK
+def _read_extracted(args: argparse.Namespace
+                    ) -> tuple[RunConfig, list[ContextData]]:
+    """Read every context's extracted features and resolve the config to the
+    combination they were extracted with.
 
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
+    Contexts extracted with different combinations, and an explicit
+    ``--features`` that names other blocks, are data errors.
+    """
     config = _resolve_config(args)
     contexts = _require_contexts(config)
     extracted = [read_context_features(config, c) for c in contexts]
@@ -133,7 +127,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.features and "".join(args.features.split()) != combination:
         raise DataError(f"--features {args.features} conflicts with the "
                         f"extracted combination {combination}")
-    config = dataclasses.replace(config, features=combination)
+    return dataclasses.replace(config, features=combination), extracted
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    config, extracted = _read_extracted(args)
+    write_resolved_config(config.out_dir, config)
+    for data in extracted:
+        for checkpoint in train_context(config, data):
+            state = checkpoint.state
+            print(f"{data.context}: trained fold with best validation ER "
+                  f"{state.best_validation_er:.3f} after {state.epoch} epochs")
+    return EXIT_OK
+
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    config, extracted = _read_extracted(args)
+    contexts = _require_contexts(config)
+    combination = config.features
     rows = {}
     payload = {}
     for context, data in zip(contexts, extracted):

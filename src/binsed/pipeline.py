@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .audio import AudioClip, decode_wav
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig
@@ -279,18 +280,43 @@ def write_training_log(path: str, checkpoint: Checkpoint) -> None:
 
 
 def train_context(config: RunConfig, data: ContextData) -> list[Checkpoint]:
-    """Train every fold of a context and persist checkpoints and logs."""
+    """Train every fold of a context and persist checkpoints and logs.
+
+    The folds train on a pool of forked processes, one per CPU up to the
+    fold count; each draws from its own ``fold_seed``, so the results do not
+    depend on the worker count.  This process writes each fold's files in
+    fold order as its result arrives: when fold k raises, folds before k are
+    saved, nothing after them is, and the folds the pool has not yet handed
+    to a worker are cancelled.
+    """
+    # Imported here, because they add about 1.3 MB to the peak memory of
+    # extract and detect, which start no process pool.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     directory = models_dir(config, data.context)
     os.makedirs(directory, exist_ok=True)
+    folds = context_folds(config, data)
     checkpoints = []
-    for split in context_folds(config, data):
-        checkpoint = train_fold(config, data, split)
-        save_checkpoint(checkpoint_path(config, data.context,
-                                        split.fold_index), checkpoint)
-        write_training_log(os.path.join(directory,
-                                        f"fold{split.fold_index}.log"),
-                           checkpoint)
-        checkpoints.append(checkpoint)
+    # Forked workers inherit the BLAS thread settings; the pool forks them
+    # all at the first submit, before it starts any thread of its own.
+    with ProcessPoolExecutor(max_workers=min(parallel.cpu_count(), len(folds)),
+                             mp_context=multiprocessing.get_context("fork")
+                             ) as pool:
+        futures = [pool.submit(train_fold, config, data, split)
+                   for split in folds]
+        try:
+            for split, future in zip(folds, futures):
+                checkpoint = future.result()
+                save_checkpoint(checkpoint_path(config, data.context,
+                                                split.fold_index), checkpoint)
+                write_training_log(os.path.join(directory,
+                                                f"fold{split.fold_index}.log"),
+                                   checkpoint)
+                checkpoints.append(checkpoint)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return checkpoints
 
 

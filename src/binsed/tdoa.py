@@ -44,12 +44,12 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .audio import AudioClip, FrameGrid, Spectrogram, next_pow2
 from .errors import DataError
 from .layout import FeatureLayout, FeatureMatrix
@@ -295,14 +295,6 @@ def collapse_windows(tdoa3: np.ndarray, band_count: int) -> np.ndarray:
 _SPECTRUM_BINS = 2 ** 22
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
 def _chunk_delays(out: np.ndarray, pair: list[np.ndarray], fft_size: int,
                   plan: tuple[np.ndarray, tuple[_LagBasis, ...]],
                   floor: float) -> None:
@@ -342,7 +334,7 @@ def extract_tdoa(clip: AudioClip, variant: str = "tdoa",
     max_lag = config.max_lag(sr)
     windows = len(config.window_lengths_ms)
     stacked = np.empty((frame_count, windows, config.band_count))
-    cpus = _cpu_count()
+    cpus = parallel.cpu_count()
     tasks = []
     for w, window_ms in enumerate(config.window_lengths_ms):
         window_length = int(round(window_ms * sr / 1000.0))

@@ -1,0 +1,197 @@
+"""Folds train on a process pool; the parent writes their files in fold order.
+
+Checkpoints and logs must not depend on the worker count, and a fold that
+fails in a worker must leave the files the serial order would have left.
+"""
+
+import concurrent.futures
+import json
+import os
+
+import pytest
+
+from binsed import parallel, pipeline
+from binsed.checkpoint import save_checkpoint
+from binsed.cli import main
+from binsed.config import load_config
+from binsed.errors import DataError, DivergenceError
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """Six short recordings, extracted once, with a three-fold run config."""
+    root = tmp_path_factory.mktemp("pool")
+    config_path = root / "run.json"
+    config_path.write_text(json.dumps({
+        "data_root": str(root / "data"),
+        "out_dir": str(root / "extracted"),
+        "contexts": ["park"],
+        "features": "mel_1;tdoa",
+        "seed": 7,
+        "fold_count": 3,
+        "hidden_sizes": [6],
+        "learning_rate": 0.01,
+        "batch_size": 16,
+        "max_epochs": 3,
+        "patience": 2,
+        "synth_recordings": 6,
+        "synth_duration": 3.0,
+    }))
+    assert main(["synth", "--config", str(config_path)]) == 0
+    assert main(["extract", "--config", str(config_path)]) == 0
+    return root
+
+
+def _config(corpus, out_dir):
+    return load_config(corpus / "run.json", {"out_dir": str(out_dir)})
+
+
+def _with_features(corpus, name):
+    """A run directory holding a copy of the extracted features."""
+    out = corpus / name
+    source = corpus / "extracted" / "features" / "park"
+    target = out / "features" / "park"
+    target.mkdir(parents=True)
+    for entry in os.listdir(source):
+        (target / entry).write_bytes((source / entry).read_bytes())
+    return out
+
+
+def _model_files(out):
+    directory = out / "models" / "park"
+    if not directory.is_dir():
+        return {}
+    return {name: (directory / name).read_bytes()
+            for name in sorted(os.listdir(directory))}
+
+
+def _force_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+
+
+class TestWorkerCount:
+    def test_files_identical_for_any_worker_count_and_per_fold_calls(
+            self, corpus, monkeypatch):
+        config = _config(corpus, corpus / "extracted")
+        data = pipeline.read_context_features(config, "park")
+        # The reference: train_fold called here, one split at a time.
+        serial = corpus / "serial"
+        directory = serial / "models" / "park"
+        directory.mkdir(parents=True)
+        for split in pipeline.context_folds(config, data):
+            checkpoint = pipeline.train_fold(config, data, split)
+            save_checkpoint(str(directory / f"fold{split.fold_index}.ckpt"),
+                            checkpoint)
+            pipeline.write_training_log(
+                str(directory / f"fold{split.fold_index}.log"), checkpoint)
+        want = _model_files(serial)
+        assert sorted(want) == ["fold0.ckpt", "fold0.log", "fold1.ckpt",
+                                "fold1.log", "fold2.ckpt", "fold2.log"]
+
+        sizes = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recorded)
+        for cpus in (1, 2, 3, 4):
+            _force_cpus(monkeypatch, cpus)
+            out = corpus / f"workers{cpus}"
+            pipeline.train_context(_config(corpus, out), data)
+            assert _model_files(out) == want, cpus
+        # One worker per CPU, never more than the three folds.
+        assert sizes == [1, 2, 3, 3]
+
+    def test_cli_train_identical_with_one_and_two_workers(self, corpus,
+                                                          monkeypatch):
+        runs = []
+        for cpus in (1, 2):
+            _force_cpus(monkeypatch, cpus)
+            out = _with_features(corpus, f"cli_workers{cpus}")
+            assert main(["train", "--config", str(corpus / "run.json"),
+                         "--out", str(out)]) == 0
+            runs.append(_model_files(out))
+        assert runs[0] == runs[1] and len(runs[0]) == 6
+
+
+def _fail_in_worker(monkeypatch, fold, error):
+    """Make ``train_fold`` raise ``error`` for ``fold``, in the worker only."""
+    parent = os.getpid()
+    original = pipeline.fold_seed
+
+    def fold_seed(config_seed, context, combination, fold_index):
+        assert os.getpid() != parent, "train_fold ran in the parent"
+        if fold_index == fold:
+            raise error
+        return original(config_seed, context, combination, fold_index)
+
+    monkeypatch.setattr(pipeline, "fold_seed", fold_seed)
+
+
+ERRORS = [(DataError("fold 1 broke on its data"), 2),
+          (DivergenceError("loss became non-finite at epoch 2"), 3)]
+
+
+class TestFailingFold:
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("error", [error for error, _ in ERRORS])
+    def test_error_reaches_the_parent_and_later_folds_are_not_saved(
+            self, corpus, monkeypatch, cpus, error):
+        _force_cpus(monkeypatch, cpus)
+        _fail_in_worker(monkeypatch, 1, error)
+        out = corpus / f"failing_{type(error).__name__}_{cpus}"
+        data = pipeline.read_context_features(
+            _config(corpus, corpus / "extracted"), "park")
+        with pytest.raises(type(error)) as excinfo:
+            pipeline.train_context(_config(corpus, out), data)
+        assert type(excinfo.value) is type(error)
+        assert str(excinfo.value) == str(error)
+        assert sorted(_model_files(out)) == ["fold0.ckpt", "fold0.log"]
+
+    @pytest.mark.parametrize("error,code", ERRORS)
+    def test_cli_exit_code_and_files(self, corpus, monkeypatch, capsys,
+                                     error, code):
+        _force_cpus(monkeypatch, 2)
+        _fail_in_worker(monkeypatch, 1, error)
+        out = _with_features(corpus, f"cli_failing_{type(error).__name__}")
+        capsys.readouterr()
+        assert main(["train", "--config", str(corpus / "run.json"),
+                     "--out", str(out)]) == code
+        assert str(error) in capsys.readouterr().err
+        assert sorted(_model_files(out)) == ["fold0.ckpt", "fold0.log"]
+
+    def test_first_fold_failing_saves_nothing(self, corpus, monkeypatch):
+        _force_cpus(monkeypatch, 1)
+        _fail_in_worker(monkeypatch, 0, DataError("fold 0 broke"))
+        out = _with_features(corpus, "first_failing")
+        assert main(["train", "--config", str(corpus / "run.json"),
+                     "--out", str(out)]) == 2
+        assert _model_files(out) == {}
+
+
+class TestTrainCombination:
+    def test_conflicting_features_refused(self, corpus, capsys):
+        out = _with_features(corpus, "train_conflict")
+        capsys.readouterr()
+        assert main(["train", "--config", str(corpus / "run.json"),
+                     "--out", str(out), "--features", "mel_1"]) == 2
+        err = capsys.readouterr().err
+        assert "mel_1 conflicts" in err and "mel_1;tdoa" in err
+        assert not (out / "config.json").exists()
+        assert not (out / "models").exists()
+
+    def test_config_records_the_extracted_combination(self, corpus):
+        # The config resolves to the default mel_2;tdoa;pitch_2, but the
+        # context was extracted as mel_1;tdoa: config.json says what ran.
+        config = json.loads((corpus / "run.json").read_text())
+        del config["features"]
+        path = corpus / "default_features.json"
+        path.write_text(json.dumps(config))
+        out = _with_features(corpus, "train_recorded")
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+        recorded = json.loads((out / "config.json").read_text())
+        assert recorded["features"] == "mel_1;tdoa"
+        assert len(_model_files(out)) == 6

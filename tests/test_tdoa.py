@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from binsed import tdoa
+from binsed import parallel, tdoa
 from binsed.audio import AudioClip, FrameGrid, Spectrogram
 from binsed.errors import DataError
 from binsed.melbank import build_mel_filterbank
@@ -431,7 +431,7 @@ class TestWorkersAndChunks:
         monkeypatch.setattr(tdoa, "_chunk_delays", spy)
 
         def run(cpus, budget):
-            monkeypatch.setattr(tdoa, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
             monkeypatch.setattr(tdoa, "_SPECTRUM_BINS", budget)
             calls.clear()
             return extract_tdoa(clip, "tdoa3").values
