@@ -17,7 +17,7 @@ import numpy as np
 from .audio import AudioClip, FrameGrid, Spectrogram, downmix_to_mono, next_pow2, stft
 from .errors import DataError
 from .layout import FeatureLayout, FeatureMatrix
-from .melbank import build_mel_filterbank, extract_log_mel
+from .melbank import MelFilterbank, build_mel_filterbank, extract_log_mel
 from .pitch import extract_pitch
 from .tdoa import TdoaConfig, collapse_windows, extract_tdoa
 
@@ -94,6 +94,17 @@ def combination_width(combination: str, config: FeatureConfig | None = None) -> 
     return sum(block_width(s, config) for s in parse_combination(combination))
 
 
+@functools.lru_cache(maxsize=32)
+def _mel_filterbank(band_count: int, fft_size: int,
+                    sample_rate: int) -> MelFilterbank:
+    """The feature filterbank, built once per argument tuple; its arrays are
+    read-only since every caller shares them."""
+    filterbank = build_mel_filterbank(band_count, fft_size, sample_rate)
+    filterbank.weights.flags.writeable = False
+    filterbank.edges_hz.flags.writeable = False
+    return filterbank
+
+
 def extract_block_values(clip: AudioClip, tokens: list[str],
                          config: FeatureConfig | None = None) -> FeatureMatrix:
     """Extract several blocks at once, sharing STFTs between them.
@@ -128,8 +139,7 @@ def extract_block_values(clip: AudioClip, tokens: list[str],
                              f_min=config.pitch_f_min, f_max=config.pitch_f_max,
                              threshold=config.pitch_threshold).values
 
-    filterbank = build_mel_filterbank(config.mel_bands, fft_size,
-                                      clip.sample_rate)
+    filterbank = _mel_filterbank(config.mel_bands, fft_size, clip.sample_rate)
     delays: dict[str, np.ndarray] = {}
     if any(s.family in _STEREO_FAMILIES for s in specs):
         # Both delay variants come from one (frames, windows, bands) stack.

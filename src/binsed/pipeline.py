@@ -31,7 +31,7 @@ from .audio import AudioClip, decode_wav
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .container import atomic_write_bytes, export_csv, read_features, write_features
-from .errors import DataError
+from .errors import DataError, TrainingError
 from .events import EventList, EventRoll, parse_annotations, rasterize
 from .features import extract_block_values, parse_combination
 from .folds import FoldSplit, make_folds
@@ -279,6 +279,44 @@ def write_training_log(path: str, checkpoint: Checkpoint) -> None:
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
+# State of a fold pool worker process: whether it is training a fold, and
+# whether the parent has asked it to stop.
+_training = False
+_stopped = False
+
+
+def _stop_fold(signum, frame) -> None:
+    """Abort the fold being trained and refuse the ones after it.
+
+    Raising only inside a fold keeps the worker from being interrupted while
+    it moves a job or a result through the pool's pipes: a message cut short
+    there would leave the parent waiting for its end.
+    """
+    global _stopped
+    _stopped = True
+    if _training:
+        raise TrainingError("stopped because another fold failed")
+
+
+def _init_fold_worker() -> None:
+    import signal
+
+    signal.signal(signal.SIGUSR1, _stop_fold)
+
+
+def _train_fold_job(config: RunConfig, data: ContextData,
+                    split: FoldSplit) -> Checkpoint:
+    """``train_fold`` in a pool worker, unless the parent has stopped it."""
+    global _training
+    try:
+        _training = True
+        if _stopped:
+            raise TrainingError("stopped because another fold failed")
+        return train_fold(config, data, split)
+    finally:
+        _training = False
+
+
 def train_context(config: RunConfig, data: ContextData) -> list[Checkpoint]:
     """Train every fold of a context and persist checkpoints and logs.
 
@@ -286,24 +324,26 @@ def train_context(config: RunConfig, data: ContextData) -> list[Checkpoint]:
     fold count; each draws from its own ``fold_seed``, so the results do not
     depend on the worker count.  This process writes each fold's files in
     fold order as its result arrives: when fold k raises, folds before k are
-    saved, nothing after them is, and the folds the pool has not yet handed
-    to a worker are cancelled.
+    saved, nothing after them is, the folds still training are stopped and
+    the rest are cancelled.
     """
     # Imported here, because they add about 1.3 MB to the peak memory of
     # extract and detect, which start no process pool.
     import multiprocessing
+    import signal
     from concurrent.futures import ProcessPoolExecutor
 
     directory = models_dir(config, data.context)
     os.makedirs(directory, exist_ok=True)
     folds = context_folds(config, data)
     checkpoints = []
+    existing = set(multiprocessing.active_children())
     # Forked workers inherit the BLAS thread settings; the pool forks them
     # all at the first submit, before it starts any thread of its own.
     with ProcessPoolExecutor(max_workers=min(parallel.cpu_count(), len(folds)),
-                             mp_context=multiprocessing.get_context("fork")
-                             ) as pool:
-        futures = [pool.submit(train_fold, config, data, split)
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_fold_worker) as pool:
+        futures = [pool.submit(_train_fold_job, config, data, split)
                    for split in folds]
         try:
             for split, future in zip(folds, futures):
@@ -315,6 +355,10 @@ def train_context(config: RunConfig, data: ContextData) -> list[Checkpoint]:
                                    checkpoint)
                 checkpoints.append(checkpoint)
         except BaseException:
+            # Shutting down waits for every fold a worker has taken, which
+            # may train for thousands of epochs: stop those folds first.
+            for worker in set(multiprocessing.active_children()) - existing:
+                os.kill(worker.pid, signal.SIGUSR1)
             pool.shutdown(cancel_futures=True)
             raise
     return checkpoints

@@ -33,11 +33,15 @@ length 3 (truncated at the clip edges).  Callers needing both variants
 compute the stack once and collapse it.
 
 Every (frame, window) estimate is independent of the others, so the
-extractor splits each window's frames into chunks and runs the (window,
-chunk) tasks on a thread pool sized to the CPUs the process may use; numpy's
+extractor splits each window's frames into tasks and runs the (window,
+task) pairs on a thread pool sized to the CPUs the process may use; numpy's
 FFT and the BLAS matmuls release the interpreter lock.  One spectrum budget
-is shared by the workers, so peak memory does not grow with the core count,
-and the delays do not depend on the worker count or the chunking.
+(frames times FFT size in flight) is shared by the workers, so peak memory
+does not grow with the core count.  Each window is cut into equal tasks,
+sizes differing by at most one frame, whose count is a multiple of the
+worker count, so every worker gets the same share and no short remainder
+task costs an extra round.  The delays do not depend on the worker count or
+the split.
 """
 
 from __future__ import annotations
@@ -99,25 +103,32 @@ def _lag_order(max_lag: int, fft_size: int) -> np.ndarray:
 
 def _phat_cross_spectrum(bins1: np.ndarray, bins2: np.ndarray,
                          floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened cross-spectrum as contiguous (real, imaginary) float arrays.
+    """Whitened cross-spectrum as (real, imaginary) float arrays.
 
-    Works in place: ``bins2`` is left holding the cross-spectrum, so callers
-    pass spectra they own.  The product is taken as conj(X2) * X1 because
-    with fused multiply-add the last bit of its imaginary part depends on the
-    operand order, and this order keeps the spectra bit-identical to the
-    earlier out-of-place form (which numpy evaluated in place into the
-    conjugate) on chunks of 256 KiB and more.  Below that it multiplied
-    X1 * conj(X2), so there the last bits may differ from it; the delays
-    are tested to agree.
+    Consumes both inputs, so callers pass C-contiguous spectra they own:
+    ``bins2`` is left holding the cross-spectrum, and the returned arrays
+    are views of ``bins1``'s buffer, the magnitude's half of which ends up
+    holding the imaginary part.  The product is taken as conj(X2) * X1
+    because with fused multiply-add the last bit of its imaginary part
+    depends on the operand order, and this order keeps the spectra
+    bit-identical to the earlier out-of-place form (which numpy evaluated in
+    place into the conjugate) on chunks of 256 KiB and more.  Below that it
+    multiplied X1 * conj(X2), so there the last bits may differ from it; the
+    delays are tested to agree.
     """
     np.conjugate(bins2, out=bins2)
     cross = np.multiply(bins2, bins1, out=bins2)
-    magnitude = np.abs(cross)
+    # X1 is dead from here on: its buffer holds the magnitude, then Im G, in
+    # its first half and Re G in its second.
+    magnitude, real = bins1.reshape(-1).view(np.float64).reshape(
+        2, *bins1.shape)
+    np.abs(cross, out=magnitude)
     live = magnitude > floor
-    real = np.zeros(cross.shape)
-    imag = np.zeros(cross.shape)
+    real.fill(0.0)
     np.divide(cross.real, magnitude, out=real, where=live)
-    np.divide(cross.imag, magnitude, out=imag, where=live)
+    imag = np.divide(cross.imag, magnitude, out=magnitude, where=live)
+    np.logical_not(live, out=live)
+    imag[live] = 0.0
     return real, imag
 
 
@@ -213,7 +224,7 @@ def gcc_phat_band(spec1: Spectrogram, spec2: Spectrogram,
     if max_lag < 0:
         raise ValueError("max_lag must be non-negative")
     offsets = _lag_order(max_lag, spec1.fft_size)
-    real, imag = _phat_cross_spectrum(spec1.bins[frame:frame + 1],
+    real, imag = _phat_cross_spectrum(spec1.bins[frame:frame + 1].copy(),
                                       spec2.bins[frame:frame + 1].copy(), floor)
     bases = _lag_bases(filterbank.weights[band:band + 1], spec1.fft_size,
                        offsets)
@@ -290,9 +301,9 @@ def collapse_windows(tdoa3: np.ndarray, band_count: int) -> np.ndarray:
     return _temporal_median3(median)
 
 
-# Frames times FFT size of the chunks in flight, summed over the workers:
+# Frames times FFT size of the tasks in flight, summed over the workers:
 # this bounds the TDOA memory peak.
-_SPECTRUM_BINS = 2 ** 22
+_SPECTRUM_BINS = 2 ** 21
 
 
 def _chunk_delays(out: np.ndarray, pair: list[np.ndarray], fft_size: int,
@@ -308,7 +319,9 @@ def _chunk_delays(out: np.ndarray, pair: list[np.ndarray], fft_size: int,
     bins1, bins2 = (np.fft.rfft(segments, n=fft_size, axis=1)
                     for segments in pair)
     real, imag = _phat_cross_spectrum(bins1, bins2, floor)
-    del bins1, bins2  # before the band matmuls allocate theirs
+    # The cross-spectrum goes before the band matmuls allocate theirs;
+    # ``real`` and ``imag`` live in the first spectrum's buffer.
+    del bins1, bins2
     out[...] = _band_delays(real, imag, bases, offsets)
 
 
@@ -343,13 +356,14 @@ def extract_tdoa(clip: AudioClip, variant: str = "tdoa",
         pair = [_segments(samples, window_length, frame_count, sr, grid)
                 for samples in clip.samples]
         # The workers share one budget, so peak memory does not grow with
-        # the CPU count; a window shorter than that splits evenly across
-        # them, so they are not left to hold whole windows at once.
-        chunk = max(1, min(_SPECTRUM_BINS // (cpus * fft_size),
-                           -(-frame_count // cpus)))
-        tasks.extend((stacked[lo:lo + chunk, w],
-                      [segments[lo:lo + chunk] for segments in pair],
-                      fft_size, plan) for lo in range(0, frame_count, chunk))
+        # the CPU count.  Equal tasks, as many as the budget needs rounded
+        # up to a multiple of the workers, give every worker the same share.
+        rows = max(1, _SPECTRUM_BINS // (cpus * fft_size))
+        needed = -(-frame_count // rows)
+        count = cpus * -(-needed // cpus)
+        splits = [np.array_split(a, count) for a in (stacked[:, w], *pair)]
+        tasks.extend((out, [left, right], fft_size, plan)
+                     for out, left, right in zip(*splits) if len(out))
     with ThreadPoolExecutor(max_workers=min(cpus, len(tasks))) as pool:
         futures = [pool.submit(_chunk_delays, *task, config.spectral_floor)
                    for task in tasks]

@@ -6,7 +6,10 @@ fails in a worker must leave the files the serial order would have left.
 
 import concurrent.futures
 import json
+import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
@@ -170,6 +173,77 @@ class TestFailingFold:
         assert main(["train", "--config", str(corpus / "run.json"),
                      "--out", str(out)]) == 2
         assert _model_files(out) == {}
+
+
+class TestStoppedFolds:
+    """A failing fold stops the folds still training instead of waiting for
+    them, and leaves no child process behind."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failure_stops_running_folds(self, corpus, monkeypatch, cpus,
+                                         failing):
+        _force_cpus(monkeypatch, cpus)
+        original = pipeline.fold_seed
+
+        def fold_seed(config_seed, context, combination, fold_index):
+            if fold_index == failing:
+                raise DataError(f"fold {failing} broke at once")
+            if fold_index > failing:
+                time.sleep(120)  # a fold that would train for minutes
+            return original(config_seed, context, combination, fold_index)
+
+        monkeypatch.setattr(pipeline, "fold_seed", fold_seed)
+        out = corpus / f"stopped_{failing}_{cpus}"
+        data = pipeline.read_context_features(
+            _config(corpus, corpus / "extracted"), "park")
+        start = time.monotonic()
+        with pytest.raises(DataError, match=f"fold {failing} broke at once"):
+            pipeline.train_context(_config(corpus, out), data)
+        assert time.monotonic() - start < 20
+        assert multiprocessing.active_children() == []
+        saved = [f"fold{k}.{ext}" for k in range(failing)
+                 for ext in ("ckpt", "log")]
+        assert sorted(_model_files(out)) == saved
+
+
+    def test_stopping_never_cuts_a_result_short(self, corpus, monkeypatch):
+        """Fold 1 fails while folds 0 and 2 send large results at about the
+        same time, on more workers than cores, thirty times over: a worker
+        stopped halfway through sending would leave the parent waiting for
+        the rest of the message."""
+        _force_cpus(monkeypatch, 3)
+
+        def train_fold(config, data, split):
+            if split.fold_index == 1:
+                time.sleep(0.03)
+                raise DataError("fold 1 broke")
+            time.sleep(0.02 + 0.001 * split.fold_index)
+            return b"x" * (8 << 20)
+
+        monkeypatch.setattr(pipeline, "train_fold", train_fold)
+        monkeypatch.setattr(pipeline, "save_checkpoint",
+                            lambda path, checkpoint: None)
+        monkeypatch.setattr(pipeline, "write_training_log",
+                            lambda path, checkpoint: None)
+        data = pipeline.read_context_features(
+            _config(corpus, corpus / "extracted"), "park")
+        config = _config(corpus, corpus / "stress")
+
+        def hung(signum, frame):
+            raise TimeoutError("train_context did not return")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        try:
+            for _ in range(30):
+                signal.alarm(20)
+                with pytest.raises(DataError, match="fold 1 broke"):
+                    pipeline.train_context(config, data)
+                signal.alarm(0)
+                assert multiprocessing.active_children() == []
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestTrainCombination:

@@ -449,3 +449,107 @@ class TestWorkersAndChunks:
             assert np.array_equal(run(5, 2 ** 12), want)
         finally:
             sys.setswitchinterval(interval)
+
+
+def _phat_into_new_arrays(bins1, bins2, floor):
+    """The whitening before it reused the first spectrum's buffer: the same
+    ufuncs in the same order, with the magnitude, Re G and Im G each in a
+    new array."""
+    np.conjugate(bins2, out=bins2)
+    cross = np.multiply(bins2, bins1, out=bins2)
+    magnitude = np.abs(cross)
+    live = magnitude > floor
+    real = np.zeros(cross.shape)
+    imag = np.zeros(cross.shape)
+    np.divide(cross.real, magnitude, out=real, where=live)
+    np.divide(cross.imag, magnitude, out=imag, where=live)
+    return real, imag
+
+
+class TestWhiteningInPlace:
+    """Re G and Im G are written into the first spectrum's buffer, bit for
+    bit what the new-array form gives."""
+
+    @pytest.mark.parametrize("frames,bins", [(16, 1025), (40, 2049),
+                                             (3, 16385)])
+    def test_equal_to_new_arrays_bit_for_bit(self, frames, bins):
+        rng = np.random.default_rng(frames)
+        spectra = [rng.standard_normal((frames, bins))
+                   + 1j * rng.standard_normal((frames, bins))
+                   for _ in range(2)]
+        assert spectra[0].nbytes >= 256 * 1024
+        spectra[0][:, :7] = 0.0          # silent in one channel
+        spectra[1][1, :] = 0.0           # a silent frame
+        spectra[0][:, -9:] *= 1e-7       # below the floor, but not zero
+        spectra[1][:, -9:] *= 1e-7
+        want = _phat_into_new_arrays(*(s.copy() for s in spectra), 1e-12)
+        bins1, bins2 = (s.copy() for s in spectra)
+        got = tdoa._phat_cross_spectrum(bins1, bins2, 1e-12)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+            assert np.shares_memory(g, bins1)
+        assert np.all(got[0][:, :7] == 0.0) and np.all(got[1][1] == 0.0)
+        assert np.all(got[1][:, -9:] == 0.0)
+
+
+def _task_frames(calls):
+    """Frame counts of the recorded ``_chunk_delays`` tasks, per FFT size
+    (one FFT size per analysis window)."""
+    sizes = {}
+    for out, _, fft_size, _, _ in calls:
+        sizes.setdefault(fft_size, []).append(len(out))
+    return sizes
+
+
+class TestEvenSplit:
+    """Each window is cut into equal tasks, as many as the spectrum budget
+    needs rounded up to a multiple of the workers."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        chunk_delays = tdoa._chunk_delays
+
+        def spy(*args):
+            calls.append(args)
+            chunk_delays(*args)
+
+        monkeypatch.setattr(tdoa, "_chunk_delays", spy)
+        return calls
+
+    @pytest.mark.parametrize("seconds", [3.0, 12.0])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("budget", [None, 2 ** 16])
+    def test_tasks_are_even_and_within_budget(self, calls, monkeypatch,
+                                              seconds, cpus, budget):
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        if budget is not None:
+            monkeypatch.setattr(tdoa, "_SPECTRUM_BINS", budget)
+        clip = _delayed_noise_clip(+3, seconds=seconds)
+        frames = extract_tdoa(clip, "tdoa3").frame_count
+        sizes = _task_frames(calls)
+        assert len(sizes) == len(TdoaConfig().window_lengths_ms)
+        for fft_size, tasks in sizes.items():
+            assert len(tasks) % cpus == 0
+            assert max(tasks) - min(tasks) <= 1
+            assert sum(tasks) == frames
+            assert max(tasks) * fft_size <= tdoa._SPECTRUM_BINS // cpus
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_short_clip_gets_one_task_per_worker(self, calls, monkeypatch,
+                                                 cpus):
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        clip = _delayed_noise_clip(-2, seconds=3.0)
+        assert extract_tdoa(clip, "tdoa3").frame_count == 149
+        for tasks in _task_frames(calls).values():
+            assert len(tasks) == cpus
+
+    def test_twelve_seconds_on_two_workers(self, calls, monkeypatch):
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        clip = _delayed_noise_clip(+1, seconds=12.0)
+        assert extract_tdoa(clip, "tdoa3").frame_count == 599
+        sizes = _task_frames(calls)
+        assert sorted(sizes[8192]) == [99] + [100] * 5      # 480 ms
+        assert sorted(sizes[4096]) == [149] + [150] * 3     # 240 ms
+        assert sorted(sizes[2048]) == [299, 300]            # 120 ms
