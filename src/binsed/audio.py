@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import atomic_write_bytes
 from .errors import AudioFormatError, DataError
 
 _WAVE_FORMAT_PCM = 0x0001
@@ -255,7 +256,4 @@ def encode_wav(path: str | os.PathLike, clip: AudioClip, bits: int = 16) -> None
     header += b"fmt " + struct.pack("<IHHIIHH", 16, _WAVE_FORMAT_PCM, channels,
                                     clip.sample_rate, byte_rate, block_align, bits)
     header += b"data" + struct.pack("<I", len(payload))
-    tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header + payload)
-    os.replace(tmp, path)
+    atomic_write_bytes(path, header + payload)

@@ -1,30 +1,34 @@
 """Checkpoint serialisation.
 
-A checkpoint freezes everything needed both to run detection (best
-parameters, scaler, class order, feature combination) and to resume
-training bit-exactly from an epoch boundary (current parameters, Adam
-moments, early-stopping counters, RNG state, history).
+A checkpoint freezes everything needed to run detection (best parameters,
+scaler, class order, feature combination and settings, sequence length,
+threshold), to score its fold (the split) and to resume training bit-exactly
+from an epoch boundary (current parameters, Adam moments, early-stopping
+counters, RNG state, history).
 
-Little-endian binary layout: magic ``BSC1``, version, then length-prefixed
-strings and count-prefixed float64 arrays in the order written below.
+Little-endian binary layout: magic ``BSC1``, version, a length-prefixed JSON
+header, then count-prefixed float64 arrays in the order written below.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .container import atomic_write_bytes
 from .errors import DataError
+from .features import FeatureConfig, feature_config_from_json, feature_config_to_json
+from .folds import FoldSplit
 from .layout import FeatureLayout
 from .training import AdamState, EpochRecord, Scaler, TrainState
 
 MAGIC = b"BSC1"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
@@ -34,11 +38,10 @@ class Checkpoint:
     class_order: tuple[str, ...]
     combination: str
     layout: FeatureLayout
-
-
-def _pack_string(text: str) -> bytes:
-    encoded = text.encode("utf-8")
-    return struct.pack("<H", len(encoded)) + encoded
+    split: FoldSplit
+    feature_config: FeatureConfig
+    sequence_length: int
+    threshold: float
 
 
 def _pack_array(values: np.ndarray) -> bytes:
@@ -63,9 +66,6 @@ class _Reader:
         values = struct.unpack(fmt, self.take(struct.calcsize(fmt)))
         return values[0] if len(values) == 1 else values
 
-    def string(self) -> str:
-        return self.take(self.unpack("<H")).decode("utf-8")
-
     def array(self) -> np.ndarray:
         size = self.unpack("<Q")
         return np.frombuffer(self.take(size * 8), dtype="<f8").copy()
@@ -73,16 +73,17 @@ class _Reader:
 
 def save_checkpoint(path: str | os.PathLike, checkpoint: Checkpoint) -> None:
     state = checkpoint.state
-    parts = [MAGIC, struct.pack("<I", VERSION)]
-    parts.append(_pack_string(checkpoint.combination))
-    parts.append(struct.pack("<I", len(checkpoint.class_order)))
-    parts.extend(_pack_string(name) for name in checkpoint.class_order)
-    parts.append(struct.pack("<I", len(checkpoint.layout.blocks)))
-    for name, width in checkpoint.layout.blocks:
-        parts.append(_pack_string(name))
-        parts.append(struct.pack("<I", width))
-    parts.append(struct.pack("<I", len(state.layer_sizes)))
-    parts.append(struct.pack(f"<{len(state.layer_sizes)}I", *state.layer_sizes))
+    header = json.dumps({
+        "class_order": checkpoint.class_order,
+        "combination": checkpoint.combination,
+        "features": feature_config_to_json(checkpoint.feature_config),
+        "layer_sizes": state.layer_sizes,
+        "layout": checkpoint.layout.blocks,
+        "sequence_length": checkpoint.sequence_length,
+        "split": asdict(checkpoint.split),
+        "threshold": checkpoint.threshold,
+    }, sort_keys=True).encode("utf-8")
+    parts = [MAGIC, struct.pack("<II", VERSION, len(header)), header]
     parts.append(_pack_array(checkpoint.scaler.mean))
     parts.append(_pack_array(checkpoint.scaler.std))
     parts.append(_pack_array(state.params_vector))
@@ -124,18 +125,23 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
     reader.take(4)
     version = reader.unpack("<I")
     if version != VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
-    combination = reader.string()
-    class_order = tuple(reader.string()
-                        for _ in range(reader.unpack("<I")))
-    blocks = []
-    for _ in range(reader.unpack("<I")):
-        name = reader.string()
-        blocks.append((name, reader.unpack("<I")))
-    layout = FeatureLayout(tuple(blocks))
-    size_count = reader.unpack("<I")
-    layer_sizes = tuple(int(x) for x in
-                        np.frombuffer(reader.take(4 * size_count), dtype="<u4"))
+        raise DataError(f"unsupported checkpoint version {version} in {path}; "
+                        "retrain it with the train command")
+    try:
+        header = json.loads(reader.take(reader.unpack("<I")))
+        split = header["split"]
+        settings = dict(
+            class_order=tuple(header["class_order"]),
+            combination=header["combination"],
+            layout=FeatureLayout(tuple(map(tuple, header["layout"]))),
+            split=FoldSplit(**{key: value if key == "fold_index" else
+                               tuple(value) for key, value in split.items()}),
+            feature_config=feature_config_from_json(header["features"]),
+            sequence_length=header["sequence_length"],
+            threshold=header["threshold"])
+        layer_sizes = tuple(header["layer_sizes"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint header in {path}") from exc
     scaler = Scaler(mean=reader.array(), std=reader.array())
     params_vector = reader.array()
     best_params_vector = reader.array() if reader.unpack("<B") else None
@@ -165,5 +171,4 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
                        best_params_vector=best_params_vector,
                        epochs_since_improvement=since,
                        stopped=bool(stopped), history=history)
-    return Checkpoint(state=state, scaler=scaler, class_order=class_order,
-                      combination=combination, layout=layout)
+    return Checkpoint(state=state, scaler=scaler, **settings)

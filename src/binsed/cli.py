@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Subcommands: extract, train, evaluate, detect, ablate, synth.  Every
-command accepts --config (JSON file) plus flag overrides; the resolved
-configuration is written into the output directory.  Exit codes: 0 success,
-1 usage error, 2 data error, 3 training failure.
+Subcommands: extract, train, evaluate, detect, ablate, synth.  extract,
+train, ablate and synth accept --config (JSON file) plus flag overrides and
+write the resolved configuration into the output directory.  Later commands
+read the records artefacts hold instead: train the manifest's feature
+settings, evaluate each checkpoint's split and settings (and only out_dir,
+contexts and macro_average from a config), detect all from its checkpoint.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 training failure.
 """
 
 from __future__ import annotations
@@ -50,31 +53,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--data-root", dest="data_root")
-    parser.add_argument("--out", dest="out_dir")
-    parser.add_argument("--context", dest="contexts", action="append",
-                        help="context name (repeatable)")
-    parser.add_argument("--features")
-    parser.add_argument("--combinations",
-                        help="comma-separated combination list (ablate)")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--folds", dest="fold_count", type=int)
-    parser.add_argument("--validation-fraction", dest="validation_fraction",
-                        type=float)
-    parser.add_argument("--threshold", type=float)
-    parser.add_argument("--hidden-sizes", dest="hidden_sizes")
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--max-epochs", dest="max_epochs", type=int)
-    parser.add_argument("--patience", type=int)
-    parser.add_argument("--block-mix-ratio", dest="block_mix_ratio", type=float)
-    parser.add_argument("--macro", dest="macro_average", action="store_const",
-                        const=True, default=None,
-                        help="macro-average fold results instead of micro")
-    parser.add_argument("--export-csv", dest="export_csv",
-                        action="store_const", const=True, default=None)
+_FLAGS = {
+    "--config": {"help": "JSON configuration file"},
+    "--data-root": {"dest": "data_root"},
+    "--out": {"dest": "out_dir"},
+    "--context": {"dest": "contexts", "action": "append",
+                  "help": "context name (repeatable)"},
+    "--features": {},
+    "--combinations": {"help": "comma-separated combination list (ablate)"},
+    "--seed": {"type": int},
+    "--folds": {"dest": "fold_count", "type": int},
+    "--validation-fraction": {"dest": "validation_fraction", "type": float},
+    "--threshold": {"type": float},
+    "--hidden-sizes": {"dest": "hidden_sizes"},
+    "--learning-rate": {"dest": "learning_rate", "type": float},
+    "--batch-size": {"dest": "batch_size", "type": int},
+    "--max-epochs": {"dest": "max_epochs", "type": int},
+    "--patience": {"type": int},
+    "--block-mix-ratio": {"dest": "block_mix_ratio", "type": float},
+    "--macro": {"dest": "macro_average", "action": "store_const",
+                "const": True, "default": None,
+                "help": "macro-average fold results instead of micro"},
+    "--export-csv": {"action": "store_const", "const": True, "default": None},
+}
 
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -112,8 +113,7 @@ def _read_extracted(args: argparse.Namespace
     """Read every context's extracted features and resolve the config to the
     combination they were extracted with.
 
-    Contexts extracted with different combinations, and an explicit
-    ``--features`` that names other blocks, are data errors.
+    Contexts extracted with different combinations are a data error.
     """
     config = _resolve_config(args)
     contexts = _require_contexts(config)
@@ -123,11 +123,8 @@ def _read_extracted(args: argparse.Namespace
                         "combinations: " + ", ".join(
                             f"{context} ({data.combination})"
                             for context, data in zip(contexts, extracted)))
-    combination = extracted[0].combination
-    if args.features and "".join(args.features.split()) != combination:
-        raise DataError(f"--features {args.features} conflicts with the "
-                        f"extracted combination {combination}")
-    return dataclasses.replace(config, features=combination), extracted
+    return (dataclasses.replace(config, features=extracted[0].combination),
+            extracted)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -159,11 +156,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "counts": dataclasses.asdict(report.counts),
             "per_fold": [dataclasses.asdict(c) for c in per_fold],
         }
-    write_resolved_config(config.out_dir, config)
     payload["average"] = {
         "error_rate": float(np.mean([rows[c].error_rate for c in contexts])),
         "f_score": float(np.mean([rows[c].f_score for c in contexts])),
     }
+    payload["averaging"] = "macro" if config.macro_average else "micro"
     table = format_results_table({combination: rows}, contexts)
     out_dir = os.path.join(config.out_dir, "evaluation")
     os.makedirs(out_dir, exist_ok=True)
@@ -176,18 +173,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
     checkpoint = load_checkpoint(args.checkpoint)
     clip = decode_wav(args.audio)
     features = assemble_features(clip, checkpoint.combination,
-                                 config.feature_config())
+                                 checkpoint.feature_config)
     if features.layout.blocks != checkpoint.layout.blocks:
         raise DataError("extracted features do not match the checkpoint layout")
     roll = detect_roll(checkpoint.state.best_params, checkpoint.scaler,
                        features, checkpoint.class_order,
-                       threshold=config.threshold,
-                       sequence_length=config.sequence_length)
-    events = roll_to_events(roll, config.feature_config().grid)
+                       threshold=checkpoint.threshold,
+                       sequence_length=checkpoint.sequence_length)
+    events = roll_to_events(roll, checkpoint.feature_config.grid)
     lines = [f"{event.onset:.2f}\t{event.offset:.2f}\t{event.label}"
              for event in events.events]
     text = "\n".join(lines) + ("\n" if lines else "")
@@ -260,16 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Binaural polyphonic sound event detection")
     commands = parser.add_subparsers(dest="command", required=True)
     specs = [
-        ("extract", cmd_extract, "extract features and targets"),
-        ("train", cmd_train, "train fold models on extracted features"),
-        ("evaluate", cmd_evaluate, "score trained models on test folds"),
-        ("detect", cmd_detect, "run detection on one audio file"),
-        ("ablate", cmd_ablate, "train and score a grid of combinations"),
-        ("synth", cmd_synth, "render synthetic binaural scenes"),
+        ("extract", cmd_extract, "extract features and targets", list(_FLAGS)),
+        ("train", cmd_train, "train fold models on extracted features",
+         [flag for flag in _FLAGS if flag != "--features"]),
+        ("evaluate", cmd_evaluate, "score trained models on test folds",
+         ["--config", "--out", "--context", "--macro"]),
+        ("detect", cmd_detect, "run detection on one audio file", []),
+        ("ablate", cmd_ablate, "train and score a grid of combinations",
+         list(_FLAGS)),
+        ("synth", cmd_synth, "render synthetic binaural scenes", list(_FLAGS)),
     ]
-    for name, handler, help_text in specs:
+    for name, handler, help_text, flags in specs:
         sub = commands.add_parser(name, help=help_text)
-        _add_common_flags(sub)
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
         if name == "detect":
             sub.add_argument("--checkpoint", required=True)
             sub.add_argument("--audio", required=True)

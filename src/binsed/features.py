@@ -10,7 +10,7 @@ subscript.  Per-channel widths: mel 40, pitch 2, pitch3 6, tdoa 5, tdoa3 15.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,19 @@ class FeatureConfig:
     pitch_f_max: float = 4000.0
     pitch_threshold: float = 0.1
     tdoa: TdoaConfig = field(default_factory=TdoaConfig)
+
+
+def feature_config_to_json(config: FeatureConfig) -> dict:
+    """The record of the settings in manifests and checkpoints."""
+    return asdict(config)
+
+
+def feature_config_from_json(payload: dict) -> FeatureConfig:
+    """The settings ``feature_config_to_json`` encoded, equal to them."""
+    tdoa = {**payload["tdoa"],
+            "window_lengths_ms": tuple(payload["tdoa"]["window_lengths_ms"])}
+    return FeatureConfig(**{**payload, "grid": FrameGrid(**payload["grid"]),
+                            "tdoa": TdoaConfig(**tdoa)})
 
 
 def parse_combination(combination: str) -> tuple[BlockSpec, ...]:

@@ -8,8 +8,8 @@ Data layout on disk::
 Run artefacts land under the output directory::
 
     <out>/features/<context>/<recording>.feat / .targets (+ optional .csv)
-    <out>/features/<context>/manifest.json
-    <out>/models/<context>/fold<k>.ckpt / fold<k>.log
+    <out>/features/<context>/manifest.json       (with the FeatureConfig)
+    <out>/models/<context>/fold<k>.ckpt / fold<k>.log   (.ckpt: split, settings)
     <out>/evaluation/results.json / results.txt
     <out>/ablation/table.txt / table.json
     <out>/ablation/<combination, ';' as '+'>/models/<context>/fold<k>.ckpt / .log
@@ -19,6 +19,7 @@ Run artefacts land under the output directory::
 from __future__ import annotations
 
 import dataclasses
+import glob
 import json
 import os
 import zlib
@@ -33,7 +34,9 @@ from .config import RunConfig
 from .container import atomic_write_bytes, export_csv, read_features, write_features
 from .errors import DataError, TrainingError
 from .events import EventList, EventRoll, parse_annotations, rasterize
-from .features import extract_block_values, parse_combination
+from .features import (FeatureConfig, extract_block_values,
+                       feature_config_from_json, feature_config_to_json,
+                       parse_combination)
 from .folds import FoldSplit, make_folds
 from .layout import FeatureLayout, FeatureMatrix
 from .metrics import MetricReport, SegmentCounts, combine, score
@@ -80,6 +83,7 @@ class ContextData:
     class_order: tuple[str, ...]
     recordings: list[str]
     features: dict[str, FeatureMatrix]
+    feature_config: FeatureConfig
     rolls: dict[str, EventRoll] = field(default_factory=dict)
     labels: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
@@ -122,7 +126,8 @@ def extract_context(config: RunConfig, context: str,
                        combination=";".join(matrix.layout.block_names),
                        class_order=class_order,
                        recordings=[r.name for r in recordings],
-                       features=features, rolls=rolls, labels=labels)
+                       features=features, feature_config=feature_config,
+                       rolls=rolls, labels=labels)
 
 
 def select_combination(data: ContextData, combination: str,
@@ -159,6 +164,7 @@ def write_context_features(config: RunConfig, data: ContextData) -> None:
         "combination": data.combination,
         "recordings": data.recordings,
         "class_order": list(data.class_order),
+        "features": feature_config_to_json(data.feature_config),
         "labels": {name: list(labels) for name, labels in data.labels.items()},
     }
     atomic_write_bytes(os.path.join(directory, "manifest.json"),
@@ -173,6 +179,9 @@ def read_context_features(config: RunConfig, context: str) -> ContextData:
                         f"{directory}; run the extract command first")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if "features" not in manifest:
+        raise DataError(f"{manifest_path} records no feature settings; "
+                        "re-run the extract command")
     class_order = tuple(manifest["class_order"])
     features = {}
     rolls = {}
@@ -191,7 +200,8 @@ def read_context_features(config: RunConfig, context: str) -> ContextData:
                        combination=manifest["combination"],
                        class_order=class_order,
                        recordings=list(manifest["recordings"]),
-                       features=features, rolls=rolls, labels=labels)
+                       features=features, rolls=rolls, labels=labels,
+                       feature_config=feature_config_from_json(manifest["features"]))
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +243,11 @@ def context_folds(config: RunConfig, data: ContextData) -> list[FoldSplit]:
 def train_fold(config: RunConfig, data: ContextData, split: FoldSplit,
                features: dict[str, FeatureMatrix] | None = None,
                combination: str | None = None) -> Checkpoint:
-    """Scale, batch and train one fold; returns its checkpoint."""
+    """Scale, batch and train one fold on data's grid; return its checkpoint."""
     combination = combination or data.combination
     features = features or data.features
-    train_config = config.train_config()
+    train_config = dataclasses.replace(config.train_config(),
+                                       grid=data.feature_config.grid)
     scaler = fit_scaler([features[name] for name in split.train])
     layout = features[split.train[0]].layout
     batches = []
@@ -260,15 +271,14 @@ def train_fold(config: RunConfig, data: ContextData, split: FoldSplit,
     state = run_training(state, train_batch, validation, train_config)
     return Checkpoint(state=state, scaler=scaler,
                       class_order=data.class_order,
-                      combination=combination, layout=layout)
+                      combination=combination, layout=layout, split=split,
+                      feature_config=data.feature_config,
+                      sequence_length=train_config.sequence_length,
+                      threshold=train_config.threshold)
 
 
 def models_dir(config: RunConfig, context: str) -> str:
     return os.path.join(config.out_dir, "models", context)
-
-
-def checkpoint_path(config: RunConfig, context: str, fold_index: int) -> str:
-    return os.path.join(models_dir(config, context), f"fold{fold_index}.ckpt")
 
 
 def write_training_log(path: str, checkpoint: Checkpoint) -> None:
@@ -348,8 +358,9 @@ def train_context(config: RunConfig, data: ContextData) -> list[Checkpoint]:
         try:
             for split, future in zip(folds, futures):
                 checkpoint = future.result()
-                save_checkpoint(checkpoint_path(config, data.context,
-                                                split.fold_index), checkpoint)
+                save_checkpoint(os.path.join(directory,
+                                             f"fold{split.fold_index}.ckpt"),
+                                checkpoint)
                 write_training_log(os.path.join(directory,
                                                 f"fold{split.fold_index}.log"),
                                    checkpoint)
@@ -368,25 +379,30 @@ def evaluate_context(config: RunConfig, data: ContextData,
                      checkpoints: dict[int, Checkpoint] | None = None,
                      features: dict[str, FeatureMatrix] | None = None,
                      ) -> tuple[MetricReport, list[SegmentCounts]]:
-    """Detect on each fold's test recordings with that fold's model.
-
-    Returns the aggregated report (micro by default, macro behind the config
-    flag) plus the per-fold counts.
-    """
+    """Detect on each fold's test recordings with that fold's model, using
+    the split and settings each checkpoint records (``checkpoints``, or every
+    ``fold*.ckpt`` in the models directory).  Returns the aggregated report
+    (micro by default, macro behind the config flag) plus the per-fold
+    counts, in fold order."""
     features = features or data.features
-    grid = config.feature_config().grid
-    folds = context_folds(config, data)
+    directory = models_dir(config, data.context)
+    if checkpoints is None:
+        paths = glob.glob(os.path.join(glob.escape(directory), "fold*.ckpt"))
+        checkpoints = dict(enumerate(map(load_checkpoint, sorted(paths))))
+    folds = sorted(checkpoints.values(), key=lambda c: c.split.fold_index)
+    if sorted(name for c in folds for name in c.split.test) \
+            != sorted(data.recordings):
+        raise DataError(f"the test sets of the fold checkpoints in {directory} "
+                        "do not partition the recordings of context "
+                        f"{data.context!r}; run the train command, or remove "
+                        "checkpoints left from another run")
     per_fold = []
-    for split in folds:
-        if checkpoints is not None:
-            checkpoint = checkpoints[split.fold_index]
-        else:
-            path = checkpoint_path(config, data.context, split.fold_index)
-            if not os.path.isfile(path):
-                raise DataError(f"missing checkpoint {path}; "
-                                "run the train command first")
-            checkpoint = load_checkpoint(path)
-        sample = features[split.test[0]]
+    for checkpoint in folds:
+        if checkpoint.feature_config != data.feature_config:
+            raise DataError(f"fold {checkpoint.split.fold_index} in {directory} "
+                            "was trained on features extracted with other "
+                            f"settings than those of context {data.context!r}")
+        sample = features[checkpoint.split.test[0]]
         if checkpoint.layout.blocks != sample.layout.blocks:
             raise DataError(
                 f"checkpoint layout {checkpoint.layout.blocks} does not match "
@@ -394,16 +410,14 @@ def evaluate_context(config: RunConfig, data: ContextData,
         if checkpoint.class_order != data.class_order:
             raise DataError("checkpoint class order does not match the context")
         params = checkpoint.state.best_params
-        counts = []
-        for name in split.test:
+        fold_counts = SegmentCounts()
+        for name in checkpoint.split.test:
             system = detect_roll(params, checkpoint.scaler, features[name],
                                  data.class_order,
-                                 threshold=config.threshold,
-                                 sequence_length=config.sequence_length)
-            counts.append(score(data.rolls[name], system, grid))
-        fold_counts = SegmentCounts()
-        for c in counts:
-            fold_counts = fold_counts + c
+                                 threshold=checkpoint.threshold,
+                                 sequence_length=checkpoint.sequence_length)
+            fold_counts = fold_counts + score(data.rolls[name], system,
+                                              checkpoint.feature_config.grid)
         per_fold.append(fold_counts)
     return combine(per_fold, macro=config.macro_average), per_fold
 

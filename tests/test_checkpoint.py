@@ -1,14 +1,35 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from binsed.audio import FrameGrid
 from binsed.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from binsed.errors import DataError
 from binsed.events import EventRoll
+from binsed.features import FeatureConfig
+from binsed.folds import FoldSplit
 from binsed.layout import FeatureLayout
+from binsed.tdoa import TdoaConfig
 from binsed.training import (Scaler, TrainConfig, fit_scaler,
                              init_train_state, run_training, split_sequences)
 
 LAYOUT = FeatureLayout((("mel_1", 2),))
+SPLIT = FoldSplit(fold_index=1, train=("r2", "r0"), validation=("r3",),
+                  test=("r1",))
+# Non-default values in every nested config and tuple.
+FEATURES = FeatureConfig(grid=FrameGrid(hop_length_ms=10.0), pitch_f_min=80.0,
+                         tdoa=TdoaConfig(window_lengths_ms=(100.0, 300.0)))
+
+
+def _record(state, scaler):
+    """A checkpoint of ``state`` with the settings and split it records."""
+    return Checkpoint(state=state, scaler=scaler,
+                      class_order=("dog", "car horn", "beep"),
+                      combination="mel_1", layout=LAYOUT, split=SPLIT,
+                      feature_config=FEATURES, sequence_length=12,
+                      threshold=0.375)
 
 
 def _checkpoint(seed=0, with_history=True):
@@ -23,10 +44,8 @@ def _checkpoint(seed=0, with_history=True):
         from binsed.training import EpochRecord
         state.history = [EpochRecord(1, 0.9, 1.0, 0.0),
                          EpochRecord(2, 0.5, 0.25, 75.0)]
-    scaler = Scaler(mean=np.array([1.0, -2.0]), std=np.array([3.0, 0.5]))
-    return Checkpoint(state=state, scaler=scaler,
-                      class_order=("dog", "car horn", "beep"),
-                      combination="mel_1", layout=LAYOUT)
+    return _record(state, Scaler(mean=np.array([1.0, -2.0]),
+                                 std=np.array([3.0, 0.5])))
 
 
 class TestRoundTrip:
@@ -38,6 +57,10 @@ class TestRoundTrip:
         assert loaded.combination == "mel_1"
         assert loaded.class_order == ("dog", "car horn", "beep")
         assert loaded.layout.blocks == LAYOUT.blocks
+        assert loaded.split == SPLIT
+        assert loaded.feature_config == FEATURES
+        assert loaded.sequence_length == 12
+        assert loaded.threshold == 0.375
         a, b = original.state, loaded.state
         assert b.layer_sizes == a.layer_sizes
         assert np.array_equal(b.params_vector, a.params_vector)
@@ -101,9 +124,7 @@ class TestResume:
 
         first_half = run_training(fresh_state(), batch, validation, config(3))
         path = tmp_path / "half.ckpt"
-        save_checkpoint(path, Checkpoint(state=first_half, scaler=scaler,
-                                         class_order=("a", "b"),
-                                         combination="mel_1", layout=LAYOUT))
+        save_checkpoint(path, _record(first_half, scaler))
         resumed = run_training(load_checkpoint(path).state, batch, validation,
                                config(6))
 
@@ -136,6 +157,38 @@ class TestCorruption:
         blob[4] = 9
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="version"):
+            load_checkpoint(path)
+
+    def test_version_1_is_refused_with_advice_to_retrain(self, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(path, _checkpoint())
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="version 1 .*retrain"):
+            load_checkpoint(path)
+
+    def test_header_is_one_sorted_json_object(self, tmp_path):
+        path = tmp_path / "fold1.ckpt"
+        save_checkpoint(path, _checkpoint())
+        blob = path.read_bytes()
+        version, length = struct.unpack_from("<II", blob, 4)
+        text = blob[12:12 + length].decode("utf-8")
+        header = json.loads(text)
+        assert version == 2
+        assert text == json.dumps(header, sort_keys=True)
+        assert sorted(header) == ["class_order", "combination", "features",
+                                  "layer_sizes", "layout", "sequence_length",
+                                  "split", "threshold"]
+        assert header["split"]["test"] == ["r1"]
+
+    def test_malformed_header(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, _checkpoint())
+        blob = bytearray(path.read_bytes())
+        blob[12] = ord("[")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="malformed checkpoint header"):
             load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -8,22 +10,23 @@ import numpy as np
 import pytest
 
 import binsed
-from binsed.audio import decode_wav
-from binsed.checkpoint import Checkpoint
+from binsed.audio import FrameGrid, decode_wav
+from binsed.checkpoint import Checkpoint, load_checkpoint
 from binsed.cli import main
 from binsed.config import RunConfig, load_config, write_resolved_config
 from binsed.container import read_features
 from binsed.errors import DataError, UsageError
-from binsed.events import EventRoll
-from binsed.features import assemble_features
+from binsed.events import EventRoll, roll_to_events
+from binsed.features import FeatureConfig, assemble_features
 from binsed.layout import FeatureLayout, FeatureMatrix
 from binsed.lstm import params_to_vector
+from binsed.metrics import SegmentCounts, score
 from binsed.pipeline import (ContextData, ablation_tokens,
                              check_fold_coverage, discover_recordings,
                              evaluate_context, extract_context, fold_seed,
                              read_context_features, write_context_features)
-from binsed.folds import FoldSplit
-from binsed.training import fit_scaler, init_train_state
+from binsed.folds import FoldSplit, make_folds
+from binsed.training import detect_roll, fit_scaler, init_train_state
 
 
 class TestLoadConfig:
@@ -121,7 +124,7 @@ class TestPipelineUnits:
     def test_fold_coverage_requires_train_examples(self):
         data = ContextData(context="c", combination="mel_1",
                            class_order=("a", "b"), recordings=["r0", "r1"],
-                           features={},
+                           features={}, feature_config=FeatureConfig(),
                            labels={"r0": ("a",), "r1": ("a", "b")})
         good = FoldSplit(fold_index=0, train=("r1",), validation=(),
                          test=("r0",))
@@ -133,11 +136,12 @@ class TestPipelineUnits:
 
     def test_evaluate_scores_one_second_segments_on_a_10ms_hop(self):
         # Each recording: 200 frames, reference active in frame 0 only,
-        # scored against a model that answers "active" everywhere.  At a
-        # 10 ms hop a segment is 100 frames, so every recording has one
+        # scored against a model that answers "active" everywhere.  At the
+        # 10 ms hop the checkpoints record (the config keeps the default
+        # 20 ms) a segment is 100 frames, so every recording has one
         # reference and one insertion.
-        config = load_config(None, {"hop_length_ms": 10.0, "fold_count": 2,
-                                    "features": "mel_1"})
+        config = load_config(None, {"fold_count": 2, "features": "mel_1"})
+        hop_10ms = FeatureConfig(grid=FrameGrid(hop_length_ms=10.0))
         names = [f"r{i}" for i in range(4)]
         layout = FeatureLayout((("mel_1", 2),))
         activity = np.zeros((200, 1), dtype=np.uint8)
@@ -147,6 +151,7 @@ class TestPipelineUnits:
             recordings=names,
             features={n: FeatureMatrix(values=np.zeros((200, 2)),
                                        layout=layout) for n in names},
+            feature_config=hop_10ms,
             rolls={n: EventRoll(activity=activity, class_order=("a",))
                    for n in names},
             labels={n: ("a",) for n in names})
@@ -155,15 +160,22 @@ class TestPipelineUnits:
         params = state.params
         params.b_out[:] = 5.0
         state.params_vector = params_to_vector(params)
-        checkpoint = Checkpoint(state=state,
-                                scaler=fit_scaler([np.ones((3, 2))]),
-                                class_order=("a",), combination="mel_1",
-                                layout=layout)
-        report, _ = evaluate_context(
-            config, data, checkpoints={0: checkpoint, 1: checkpoint})
+        halves = (tuple(names[:2]), tuple(names[2:]))
+        checkpoints = {
+            k: Checkpoint(state=state, scaler=fit_scaler([np.ones((3, 2))]),
+                          class_order=("a",), combination="mel_1",
+                          layout=layout,
+                          split=FoldSplit(fold_index=k, train=halves[1 - k],
+                                          validation=(), test=halves[k]),
+                          feature_config=hop_10ms, sequence_length=25,
+                          threshold=0.5)
+            for k in (0, 1)}
+        report, per_fold = evaluate_context(config, data,
+                                            checkpoints=checkpoints)
         assert report.counts.references == 4
         assert report.counts.insertions == 4
         assert report.error_rate == 1.0
+        assert [c.references for c in per_fold] == [2, 2]
 
     def test_ablation_tokens_dedupe_in_order(self):
         tokens = ablation_tokens(["mel_2;tdoa", "mel_1", "tdoa;pitch_2"])
@@ -184,6 +196,19 @@ class TestPipelineUnits:
         config = RunConfig(out_dir=str(tmp_path))
         with pytest.raises(DataError, match="extract command"):
             read_context_features(config, "park")
+
+
+def _trained_copy(workspace, name):
+    out = workspace / name
+    for part in ("features", "models"):
+        shutil.copytree(workspace / "out" / part, out / part)
+    return out
+
+
+def _tree(root):
+    """Every file under ``root`` with its bytes."""
+    return {path: path.read_bytes() for path in sorted(root.rglob("*"))
+            if path.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +296,7 @@ class TestCliPipeline:
         (out / "config.json").unlink()
         capsys.readouterr()
         assert main(["evaluate", "--config", str(workspace / "run.json"),
-                     "--data-root", str(data), "--out", str(out),
+                     "--out", str(out),
                      "--context", "park", "--context", "street"]) == 2
         err = capsys.readouterr().err
         assert "park (mel_1;tdoa)" in err and "street (mel_1)" in err
@@ -289,43 +314,40 @@ class TestCliPipeline:
         assert main(["evaluate", "--config", run, "--out", str(unfit)]) == 2
         assert not (unfit / "config.json").exists()
 
-    def _trained_copy(self, workspace, name):
-        out = workspace / name
-        for part in ("features", "models"):
-            shutil.copytree(workspace / "out" / part, out / part)
-        return out
-
     def test_evaluate_refuses_conflicting_features(self, workspace, capsys):
-        out = self._trained_copy(workspace, "out_conflict")
-        capsys.readouterr()
-        assert main(["evaluate", "--config", str(workspace / "run.json"),
-                     "--out", str(out), "--features", "mel_2;tdoa"]) == 2
-        err = capsys.readouterr().err
-        assert "mel_2;tdoa conflicts" in err and "mel_1;tdoa" in err
-        assert not (out / "config.json").exists()
-        assert not (out / "evaluation").exists()
+        # evaluate takes no --features: the extraction decided them.
+        out = _trained_copy(workspace, "out_conflict")
+        before = _tree(out)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--config", str(workspace / "run.json"),
+                  "--out", str(out), "--features", "mel_2;tdoa"])
+        assert excinfo.value.code == 1
+        assert "--features" in capsys.readouterr().err
+        assert _tree(out) == before
 
     def test_evaluate_records_the_extracted_combination(self, workspace):
         # The config resolves to the default mel_2;tdoa;pitch_2, but the
-        # context was extracted as mel_1;tdoa: config.json says what ran.
+        # context was extracted as mel_1;tdoa: results.json says what ran,
+        # and evaluate leaves train's config.json alone.
         config = json.loads((workspace / "run.json").read_text())
         del config["features"]
         path = workspace / "default_features.json"
         path.write_text(json.dumps(config))
-        out = self._trained_copy(workspace, "out_recorded")
-        assert main(["evaluate", "--config", str(path), "--out", str(out)]) == 0
-        recorded = json.loads((out / "config.json").read_text())
-        assert recorded["features"] == "mel_1;tdoa"
-        # An explicit --features that names the same blocks is no conflict.
-        assert main(["evaluate", "--config", str(path), "--out", str(out),
-                     "--features", "mel_1; tdoa"]) == 0
+        out = _trained_copy(workspace, "out_recorded")
+        for flags, averaging in (([], "micro"), (["--macro"], "macro")):
+            assert main(["evaluate", "--config", str(path),
+                         "--out", str(out)] + flags) == 0
+            results = json.loads(
+                (out / "evaluation" / "results.json").read_text())
+            assert results["park"]["combination"] == "mel_1;tdoa"
+            assert results["averaging"] == averaging
+        assert not (out / "config.json").exists()
 
     def test_detect_writes_event_list(self, workspace):
         wav = workspace / "data" / "park" / "audio" / "rec000.wav"
         ckpt = workspace / "out" / "models" / "park" / "fold0.ckpt"
         out_file = workspace / "detected.txt"
-        assert main(["detect", "--config", str(workspace / "run.json"),
-                     "--checkpoint", str(ckpt), "--audio", str(wav),
+        assert main(["detect", "--checkpoint", str(ckpt), "--audio", str(wav),
                      "--out-file", str(out_file)]) == 0
         for line in out_file.read_text().splitlines():
             onset, offset, label = line.split("\t")
@@ -409,6 +431,169 @@ class TestCliPipeline:
         text = (workspace / "plandata" / "studio" / "annotations" /
                 "scene.txt").read_text()
         assert text == "0.500\t2.000\trumble\n"
+
+
+@pytest.fixture(scope="module")
+def three_folds(workspace):
+    """The workspace's features, trained with seed 9 into three folds."""
+    out = workspace / "three_folds"
+    shutil.copytree(workspace / "out" / "features", out / "features")
+    assert main(["train", "--config", str(workspace / "run.json"),
+                 "--out", str(out), "--seed", "9", "--folds", "3"]) == 0
+    return out
+
+
+def _evaluate(out, capsys, **config):
+    """Exit code and stderr of evaluate on ``out`` with a config file that
+    holds ``config`` and the workspace's context."""
+    path = out.parent / f"{out.name}_evaluate.json"
+    path.write_text(json.dumps({"contexts": ["park"], **config}))
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(path), "--out", str(out)])
+    return code, capsys.readouterr().err
+
+
+class TestRunRecord:
+    """evaluate and detect read the settings the run recorded: the manifest's
+    feature settings and each checkpoint's split, sequence length and
+    threshold, never their own flags or config."""
+
+    def test_evaluate_scores_each_checkpoints_own_test_set(
+            self, workspace, three_folds, capsys):
+        results = []
+        for config in ({"seed": 41, "fold_count": 4},
+                       {"seed": 9, "fold_count": 3}, {}):
+            assert _evaluate(three_folds, capsys, **config)[0] == 0
+            results.append(json.loads((three_folds / "evaluation" /
+                                       "results.json").read_text()))
+        assert results[0] == results[1] == results[2]
+        data = read_context_features(RunConfig(out_dir=str(three_folds)),
+                                     "park")
+        splits = make_folds(data.recordings, fold_count=3, seed=9)
+        for k, counts in enumerate(results[0]["park"]["per_fold"]):
+            ckpt = load_checkpoint(three_folds / "models" / "park" /
+                                   f"fold{k}.ckpt")
+            assert ckpt.split == splits[k]
+            want = SegmentCounts()
+            for name in splits[k].test:
+                want = want + score(data.rolls[name], detect_roll(
+                    ckpt.state.best_params, ckpt.scaler, data.features[name],
+                    data.class_order))
+            assert counts == dataclasses.asdict(want)
+
+    @pytest.mark.parametrize("change", ["stale", "missing", "duplicate"])
+    def test_evaluate_refuses_folds_that_do_not_partition(
+            self, workspace, three_folds, capsys, change):
+        out = workspace / f"folds_{change}"
+        for part in ("features", "models"):
+            shutil.copytree(three_folds / part, out / part)
+        models = out / "models" / "park"
+        if change == "stale":
+            # A two-fold retrain leaves the three-fold run's fold2.ckpt.
+            assert main(["train", "--config", str(workspace / "run.json"),
+                         "--out", str(out), "--folds", "2"]) == 0
+            assert (models / "fold2.ckpt").is_file()
+        elif change == "missing":
+            (models / "fold1.ckpt").unlink()
+        else:
+            shutil.copy(models / "fold0.ckpt", models / "fold1.ckpt")
+        code, err = _evaluate(out, capsys)
+        assert code == 2
+        assert str(models) in err and "partition" in err
+        assert not (out / "evaluation").exists()
+
+    def test_evaluate_refuses_features_extracted_with_other_settings(
+            self, workspace, capsys):
+        out = _trained_copy(workspace, "out_resettled")
+        config = json.loads((workspace / "run.json").read_text())
+        config.update(out_dir=str(out), pitch_threshold=0.2)
+        path = workspace / "resettled.json"
+        path.write_text(json.dumps(config))
+        assert main(["extract", "--config", str(path)]) == 0
+        code, err = _evaluate(out, capsys)
+        assert code == 2 and "other settings" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    def test_manifest_without_feature_settings(self, workspace, capsys,
+                                               command):
+        out = _trained_copy(workspace, f"out_old_manifest_{command}")
+        manifest_path = out / "features" / "park" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["features"]
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main([command, "--config", str(workspace / "run.json"),
+                     "--out", str(out)]) == 2
+        assert "re-run the extract command" in capsys.readouterr().err
+
+    def test_detect_refuses_a_version_1_checkpoint(self, workspace, capsys):
+        blob = bytearray((workspace / "out" / "models" / "park" /
+                          "fold0.ckpt").read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        old = workspace / "version1.ckpt"
+        old.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["detect", "--checkpoint", str(old), "--audio",
+                     str(workspace / "data" / "park" / "audio" /
+                         "rec000.wav")]) == 2
+        assert "retrain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting,value,combination", [
+        ("hop_length_ms", 10.0, "mel_1;tdoa"),
+        ("pitch_f_min", 1000.0, "mel_1;pitch_1")])
+    def test_detect_uses_the_recorded_feature_settings(
+            self, workspace, setting, value, combination):
+        config = json.loads((workspace / "run.json").read_text())
+        config.update({"out_dir": str(workspace / f"out_{setting}"),
+                       "features": combination, setting: value})
+        path = workspace / f"{setting}.json"
+        path.write_text(json.dumps(config))
+        assert main(["extract", "--config", str(path)]) == 0
+        assert main(["train", "--config", str(path)]) == 0
+        ckpt_path = workspace / f"out_{setting}" / "models" / "park" / \
+            "fold0.ckpt"
+        wav = workspace / "data" / "park" / "audio" / "rec001.wav"
+        out_file = workspace / f"detected_{setting}.txt"
+        assert main(["detect", "--checkpoint", str(ckpt_path),
+                     "--audio", str(wav), "--out-file", str(out_file)]) == 0
+
+        ckpt = load_checkpoint(ckpt_path)
+        recorded = load_config(path).feature_config()
+        assert ckpt.feature_config == recorded != FeatureConfig()
+
+        def events(feature_config):
+            matrix = assemble_features(decode_wav(str(wav)), combination,
+                                       feature_config)
+            roll = detect_roll(ckpt.state.best_params, ckpt.scaler, matrix,
+                               ckpt.class_order)
+            return "".join(f"{e.onset:.2f}\t{e.offset:.2f}\t{e.label}\n"
+                           for e in roll_to_events(
+                               roll, feature_config.grid).events)
+
+        # The default settings would give another event list.
+        assert out_file.read_text() == events(recorded) \
+            != events(FeatureConfig())
+
+    @pytest.mark.parametrize("command,flags", [
+        ("evaluate", ["--seed", "9"]),
+        ("evaluate", ["--folds", "3"]),
+        ("evaluate", ["--data-root", "data"]),
+        ("detect", ["--threshold", "0.9"]),
+        ("detect", ["--hidden-sizes", "99"]),
+        ("detect", ["--config", "run.json"])])
+    def test_flags_that_duplicate_the_record_are_usage_errors(
+            self, workspace, capsys, command, flags):
+        before = _tree(workspace)
+        args = {"evaluate": ["--config", str(workspace / "run.json")],
+                "detect": ["--checkpoint", str(workspace / "out" / "models" /
+                                               "park" / "fold0.ckpt"),
+                           "--audio", str(workspace / "data" / "park" /
+                                          "audio" / "rec000.wav")]}[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command] + args + flags)
+        assert excinfo.value.code == 1
+        assert flags[0] in capsys.readouterr().err
+        assert _tree(workspace) == before
 
 
 class TestCliErrors:

@@ -1,13 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
-from binsed.audio import AudioClip
+from binsed.audio import AudioClip, FrameGrid
 from binsed.container import read_features, write_features
 from binsed.errors import DataError
 from binsed.features import (ABLATION_COMBINATIONS, FeatureConfig,
                              assemble_features, combination_width,
-                             extract_block_values, parse_combination)
+                             extract_block_values, feature_config_from_json,
+                             feature_config_to_json, parse_combination)
 from binsed.layout import FeatureLayout, FeatureMatrix
+from binsed.tdoa import TdoaConfig
 
 EXPECTED_WIDTHS = {
     "mel_1": 40,
@@ -59,6 +63,24 @@ class TestGrammar:
                                    "mel_2;tdoa;pitch_2").layout
         assert layout.blocks == (("mel_2", 80), ("tdoa", 5), ("pitch_2", 4))
         assert layout.block_slice("tdoa") == slice(80, 85)
+
+
+class TestFeatureConfigRecord:
+    @pytest.mark.parametrize("config", [
+        FeatureConfig(),
+        FeatureConfig(grid=FrameGrid(frame_length_ms=32.0, hop_length_ms=10),
+                      mel_bands=24, log_floor=1e-8, pitch_f_min=80.0,
+                      pitch_f_max=3000.0, pitch_threshold=0.2,
+                      tdoa=TdoaConfig(band_count=4, window_lengths_ms=(60.0,),
+                                      mic_spacing_m=0.15,
+                                      speed_of_sound=340.0,
+                                      spectral_floor=1e-9))])
+    def test_round_trips_through_json_text(self, config):
+        text = json.dumps(feature_config_to_json(config), sort_keys=True)
+        decoded = feature_config_from_json(json.loads(text))
+        assert decoded == config   # a list for a tuple would not compare equal
+        assert json.dumps(feature_config_to_json(decoded),
+                          sort_keys=True) == text
 
 
 class TestLayoutContainers:

@@ -248,12 +248,14 @@ class TestStoppedFolds:
 
 class TestTrainCombination:
     def test_conflicting_features_refused(self, corpus, capsys):
+        # train takes no --features: the extraction decided them.
         out = _with_features(corpus, "train_conflict")
         capsys.readouterr()
-        assert main(["train", "--config", str(corpus / "run.json"),
-                     "--out", str(out), "--features", "mel_1"]) == 2
-        err = capsys.readouterr().err
-        assert "mel_1 conflicts" in err and "mel_1;tdoa" in err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--config", str(corpus / "run.json"),
+                  "--out", str(out), "--features", "mel_1"])
+        assert excinfo.value.code == 1
+        assert "--features" in capsys.readouterr().err
         assert not (out / "config.json").exists()
         assert not (out / "models").exists()
 

@@ -336,7 +336,8 @@ def _regression_clips():
     rng = np.random.default_rng(21)
     plan = [e for e in random_scene_plan(classes, 10.5, rng)
             if 0.01 < e.onset and e.offset < 10.49]
-    # 10.5 s: 524 frames, past the 480 ms window's 512-frame chunk.
+    # 10.5 s: 524 frames, which the 480 ms window splits into several
+    # tasks: 3 of 174-175 frames on one worker, 6 of 87-88 on two.
     yield "scene", synthesize_scene(plan, 10.5, rng=rng).clip
     rng = np.random.default_rng(4)
     n = 48000
