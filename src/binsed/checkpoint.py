@@ -7,7 +7,8 @@ from an epoch boundary (current parameters, Adam moments, early-stopping
 counters, RNG state, history).
 
 Little-endian binary layout: magic ``BSC1``, version, a length-prefixed JSON
-header, then count-prefixed float64 arrays in the order written below.
+header, then count-prefixed arrays in the order written below: float64,
+except the parameters and best parameters, in the header's dtype (float32).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .layout import FeatureLayout
 from .training import AdamState, EpochRecord, Scaler, TrainState
 
 MAGIC = b"BSC1"
-VERSION = 2
+VERSION = 3
 
 
 @dataclass
@@ -44,8 +45,8 @@ class Checkpoint:
     threshold: float
 
 
-def _pack_array(values: np.ndarray) -> bytes:
-    flat = np.ascontiguousarray(values, dtype="<f8")
+def _pack_array(values: np.ndarray, dtype: str = "<f8") -> bytes:
+    flat = np.ascontiguousarray(values, dtype=dtype)
     return struct.pack("<Q", flat.size) + flat.tobytes()
 
 
@@ -66,16 +67,18 @@ class _Reader:
         values = struct.unpack(fmt, self.take(struct.calcsize(fmt)))
         return values[0] if len(values) == 1 else values
 
-    def array(self) -> np.ndarray:
-        size = self.unpack("<Q")
-        return np.frombuffer(self.take(size * 8), dtype="<f8").copy()
+    def array(self, dtype: str = "<f8") -> np.ndarray:
+        size = self.unpack("<Q") * np.dtype(dtype).itemsize
+        return np.frombuffer(self.take(size), dtype=dtype).copy()
 
 
 def save_checkpoint(path: str | os.PathLike, checkpoint: Checkpoint) -> None:
     state = checkpoint.state
+    dtype = state.params_vector.dtype.newbyteorder("<").str
     header = json.dumps({
         "class_order": checkpoint.class_order,
         "combination": checkpoint.combination,
+        "dtype": dtype,
         "features": feature_config_to_json(checkpoint.feature_config),
         "layer_sizes": state.layer_sizes,
         "layout": checkpoint.layout.blocks,
@@ -86,11 +89,11 @@ def save_checkpoint(path: str | os.PathLike, checkpoint: Checkpoint) -> None:
     parts = [MAGIC, struct.pack("<II", VERSION, len(header)), header]
     parts.append(_pack_array(checkpoint.scaler.mean))
     parts.append(_pack_array(checkpoint.scaler.std))
-    parts.append(_pack_array(state.params_vector))
+    parts.append(_pack_array(state.params_vector, dtype))
     has_best = state.best_params_vector is not None
     parts.append(struct.pack("<B", int(has_best)))
     if has_best:
-        parts.append(_pack_array(state.best_params_vector))
+        parts.append(_pack_array(state.best_params_vector, dtype))
     parts.append(struct.pack("<Q", state.adam.step))
     parts.append(_pack_array(state.adam.first_moment))
     parts.append(_pack_array(state.adam.second_moment))
@@ -140,11 +143,14 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
             sequence_length=header["sequence_length"],
             threshold=header["threshold"])
         layer_sizes = tuple(header["layer_sizes"])
+        dtype = header["dtype"]
+        if dtype not in ("<f4", "<f8"):
+            raise ValueError(f"parameter dtype {dtype!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint header in {path}") from exc
     scaler = Scaler(mean=reader.array(), std=reader.array())
-    params_vector = reader.array()
-    best_params_vector = reader.array() if reader.unpack("<B") else None
+    params_vector = reader.array(dtype)
+    best_params_vector = reader.array(dtype) if reader.unpack("<B") else None
     adam_step_count = reader.unpack("<Q")
     adam = AdamState(first_moment=reader.array(),
                      second_moment=reader.array(), step=adam_step_count)

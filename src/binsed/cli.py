@@ -111,18 +111,19 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def _read_extracted(args: argparse.Namespace
                     ) -> tuple[RunConfig, list[ContextData]]:
     """Read every context's extracted features and resolve the config to the
-    combination they were extracted with.
+    combination and feature settings they were extracted with.
 
-    Contexts extracted with different combinations are a data error.
+    Contexts extracted with different ones are a data error.
     """
     config = _resolve_config(args)
     contexts = _require_contexts(config)
     extracted = [read_context_features(config, c) for c in contexts]
-    if len({data.combination for data in extracted}) > 1:
+    if len({(d.combination, d.feature_config) for d in extracted}) > 1:
         raise DataError("contexts were extracted with different feature "
-                        "combinations: " + ", ".join(
+                        "combinations or settings: " + ", ".join(
                             f"{context} ({data.combination})"
                             for context, data in zip(contexts, extracted)))
+    config = config.with_feature_config(extracted[0].feature_config)
     return (dataclasses.replace(config, features=extracted[0].combination),
             extracted)
 
@@ -141,7 +142,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config, extracted = _read_extracted(args)
     contexts = _require_contexts(config)
-    combination = config.features
     rows = {}
     payload = {}
     for context, data in zip(contexts, extracted):
@@ -161,7 +161,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "f_score": float(np.mean([rows[c].f_score for c in contexts])),
     }
     payload["averaging"] = "macro" if config.macro_average else "micro"
-    table = format_results_table({combination: rows}, contexts)
+    table = format_results_table({config.features: rows}, contexts)
     out_dir = os.path.join(config.out_dir, "evaluation")
     os.makedirs(out_dir, exist_ok=True)
     atomic_write_bytes(os.path.join(out_dir, "results.json"),
@@ -202,12 +202,16 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                  for c in contexts]
     write_resolved_config(config.out_dir, config)
     rows = run_ablation(config, combinations, extracted)
-    table = format_results_table(rows, contexts)
+    table = format_results_table(
+        {combo: {context: report for context, (report, _) in per.items()}
+         for combo, per in rows.items()}, contexts)
     out_dir = os.path.join(config.out_dir, "ablation")
     os.makedirs(out_dir, exist_ok=True)
-    payload = {combo: {context: {"error_rate": rep.error_rate,
-                                 "f_score": rep.f_score}
-                       for context, rep in per_context.items()}
+    payload = {combo: {context: {"error_rate": report.error_rate,
+                                 "f_score": report.f_score,
+                                 "per_fold": [dataclasses.asdict(c)
+                                              for c in per_fold]}
+                       for context, (report, per_fold) in per_context.items()}
                for combo, per_context in rows.items()}
     atomic_write_bytes(os.path.join(out_dir, "table.json"),
                        (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
@@ -251,20 +255,29 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The flags each command reads (train's --data-root is for its config.json).
+_RUN_FLAGS = ["--config", "--data-root", "--out", "--context"]
+_TRAINING_FLAGS = ["--seed", "--folds", "--validation-fraction", "--threshold",
+                   "--hidden-sizes", "--learning-rate", "--batch-size",
+                   "--max-epochs", "--patience", "--block-mix-ratio"]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="binsed",
                      description="Binaural polyphonic sound event detection")
     commands = parser.add_subparsers(dest="command", required=True)
     specs = [
-        ("extract", cmd_extract, "extract features and targets", list(_FLAGS)),
+        ("extract", cmd_extract, "extract features and targets",
+         _RUN_FLAGS + ["--features", "--export-csv"]),
         ("train", cmd_train, "train fold models on extracted features",
-         [flag for flag in _FLAGS if flag != "--features"]),
+         _RUN_FLAGS + _TRAINING_FLAGS),
         ("evaluate", cmd_evaluate, "score trained models on test folds",
          ["--config", "--out", "--context", "--macro"]),
         ("detect", cmd_detect, "run detection on one audio file", []),
         ("ablate", cmd_ablate, "train and score a grid of combinations",
-         list(_FLAGS)),
-        ("synth", cmd_synth, "render synthetic binaural scenes", list(_FLAGS)),
+         _RUN_FLAGS + ["--combinations"] + _TRAINING_FLAGS + ["--macro"]),
+        ("synth", cmd_synth, "render synthetic binaural scenes",
+         ["--config", "--data-root", "--context", "--seed"]),
     ]
     for name, handler, help_text, flags in specs:
         sub = commands.add_parser(name, help=help_text)

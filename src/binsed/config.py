@@ -102,6 +102,18 @@ class RunConfig:
                             window_lengths_ms=tuple(self.tdoa_windows_ms),
                             mic_spacing_m=self.mic_spacing_m))
 
+    def with_feature_config(self, features: FeatureConfig) -> "RunConfig":
+        """This configuration with ``features``: feature_config's inverse."""
+        grid, tdoa = features.grid, features.tdoa
+        return dataclasses.replace(
+            self, frame_length_ms=grid.frame_length_ms,
+            hop_length_ms=grid.hop_length_ms, mel_bands=features.mel_bands,
+            log_floor=features.log_floor, pitch_f_min=features.pitch_f_min,
+            pitch_f_max=features.pitch_f_max,
+            pitch_threshold=features.pitch_threshold,
+            tdoa_bands=tdoa.band_count, mic_spacing_m=tdoa.mic_spacing_m,
+            tdoa_windows_ms=tuple(tdoa.window_lengths_ms))
+
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             hidden_sizes=tuple(self.hidden_sizes),

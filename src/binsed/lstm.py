@@ -7,6 +7,10 @@ output; each layer has an input matrix (4H, D_in), a recurrent matrix
 (4H, H) and a bias (4H,).  Hidden and cell states start at zero for every
 sequence.  The output layer applies a per-class sigmoid to the top hidden
 state, giving independent class posteriors in (0, 1).
+
+Everything is computed in the dtype of the flat parameter vector.  Training
+makes it float32, so checkpoints store float32 parameters; float64
+parameters give a float64 forward and backward pass.
 """
 
 from __future__ import annotations
@@ -19,11 +23,14 @@ import numpy as np
 PROB_EPS = 1e-7
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so
-    neither branch overflows; both share e = exp(-|x|), with no masking."""
+    neither branch overflows; both share e = exp(-|x|), with no masking.
+    Computed in x's dtype, into ``out`` if given."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    numerator = np.maximum(e, x >= 0)     # 1 where x >= 0, as e <= 1
+    e += 1.0
+    return np.divide(numerator, e, out=out)
 
 
 @dataclass
@@ -128,52 +135,47 @@ def vector_to_params(vector: np.ndarray,
                          w_out=take(classes, h_last), b_out=take(classes))
 
 
-def _layer_forward(layer: LstmLayer, inputs: np.ndarray) -> dict:
-    seqs, steps, _ = inputs.shape
+def _layer_forward(layer: LstmLayer, inputs: np.ndarray) -> tuple:
+    """One layer over time-major inputs (T, S, D).  Each step writes into
+    the time-major cache it returns, (inputs, gates, cells, tanh_cells,
+    hiddens): gates (T, S, 4H) holds sigmoid i, f, o and tanh g, and the
+    others are (T, S, H)."""
+    steps, seqs, _ = inputs.shape
     hidden = layer.hidden_size
-    gates_i = np.empty((seqs, steps, hidden))
-    gates_f = np.empty_like(gates_i)
-    gates_g = np.empty_like(gates_i)
-    gates_o = np.empty_like(gates_i)
-    cells = np.empty_like(gates_i)
-    tanh_cells = np.empty_like(gates_i)
-    hiddens = np.empty_like(gates_i)
-    h = np.zeros((seqs, hidden))
-    c = np.zeros((seqs, hidden))
+    g_cols = slice(2 * hidden, 3 * hidden)
     pre_in = inputs @ layer.w_input.T + layer.bias
     w_rec_t = layer.w_recurrent.T
+    gates = np.empty((steps, seqs, 4 * hidden), pre_in.dtype)
+    cells = np.empty((steps, seqs, hidden), pre_in.dtype)
+    tanh_cells = np.empty_like(cells)
+    hiddens = np.empty_like(cells)
+    z = np.empty_like(gates[0])
+    h = c = np.zeros_like(cells[0])       # only read before reassignment
     for t in range(steps):
-        z = pre_in[:, t] + h @ w_rec_t
-        # One sigmoid over the whole slab; its g columns go unused.
-        s = sigmoid(z)
-        i = s[:, :hidden]
-        f = s[:, hidden:2 * hidden]
-        g = np.tanh(z[:, 2 * hidden:3 * hidden])
-        o = s[:, 3 * hidden:]
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gates_i[:, t], gates_f[:, t] = i, f
-        gates_g[:, t], gates_o[:, t] = g, o
-        cells[:, t], tanh_cells[:, t], hiddens[:, t] = c, tc, h
-    return {"x": inputs, "i": gates_i, "f": gates_f, "g": gates_g,
-            "o": gates_o, "c": cells, "tc": tanh_cells, "h": hiddens}
+        np.add(pre_in[t], np.matmul(h, w_rec_t, out=z), out=z)
+        # One sigmoid over the whole slab, then tanh(g) over its g columns.
+        s = sigmoid(z, out=gates[t])
+        np.tanh(z[:, g_cols], out=s[:, g_cols])
+        c = np.multiply(s[:, hidden:2 * hidden], c, out=cells[t])
+        c += s[:, :hidden] * s[:, g_cols]
+        h = np.multiply(s[:, 3 * hidden:], np.tanh(c, out=tanh_cells[t]),
+                        out=hiddens[t])
+    return inputs, gates, cells, tanh_cells, hiddens
 
 
 def forward(params: NetworkParams, inputs: np.ndarray,
             return_cache: bool = False):
-    """Class posteriors (S, T, C) for a batch of sequences (S, T, D)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
+    """Class posteriors (S, T, C) for a batch of sequences (S, T, D),
+    computed in the dtype of ``params.vector``."""
+    inputs = np.asarray(inputs, dtype=params.vector.dtype)
     if inputs.ndim != 3 or inputs.shape[2] != params.input_size:
         raise ValueError(f"inputs must be (S, T, {params.input_size})")
     caches = []
-    x = inputs
+    x = inputs.swapaxes(0, 1)
     for layer in params.layers:
-        cache = _layer_forward(layer, x)
-        caches.append(cache)
-        x = cache["h"]
-    logits = x @ params.w_out.T + params.b_out
-    probs = sigmoid(logits)
+        caches.append(_layer_forward(layer, x))
+        x = caches[-1][-1]
+    probs = sigmoid(x.swapaxes(0, 1) @ params.w_out.T + params.b_out)
     if return_cache:
         return probs, caches
     return probs
@@ -202,54 +204,56 @@ def bce_loss(probs: np.ndarray, targets: np.ndarray,
     return total / count if count > 0 else 0.0
 
 
-def _layer_backward(layer: LstmLayer, cache: dict, d_hidden_seq: np.ndarray,
+def _layer_backward(layer: LstmLayer, cache: tuple, d_hidden: np.ndarray,
                     grads: LstmLayer, input_grad: bool) -> np.ndarray | None:
-    """Accumulate the layer gradients into ``grads`` and, if ``input_grad``,
-    return the gradient (S, T, D_in) with respect to the layer's inputs
-    (else None)."""
-    seqs, steps, hidden = d_hidden_seq.shape
-    # Gate-gradient slabs, time-major: dz_seq[t] is step t's (S, 4H) block.
-    dz_seq = np.empty((steps, seqs, 4 * hidden))
-    dh_carry = np.zeros((seqs, hidden))
-    dc_carry = np.zeros((seqs, hidden))
-    zeros = np.zeros((seqs, hidden))
+    """Write the layer gradients into ``grads`` and, if ``input_grad``,
+    return the gradient (T, S, D_in) with respect to the layer's inputs
+    (else None).  ``d_hidden`` is time-major (T, S, H)."""
+    inputs, gates, cells, tanh_cells, hiddens = cache
+    steps, seqs, hidden = cells.shape
+    i, f, g, o = (gates[..., k * hidden:(k + 1) * hidden] for k in range(4))
+    # Gate-derivative factors s(1 - s) and 1 - g^2 for all steps at once,
+    # times what dz multiplies them with besides dc (i, f, g) or dh (o).
+    factors = (1.0 - gates) * gates
+    factors[..., 2 * hidden:3 * hidden] = (1.0 - g * g) * i
+    factors[..., :hidden] *= g
+    factors[1:, :, hidden:2 * hidden] *= cells[:-1]
+    factors[0, :, hidden:2 * hidden] = 0.0
+    factors[..., 3 * hidden:] *= tanh_cells
+    cell_slope = o * (1.0 - tanh_cells * tanh_cells)     # dc gains dh times it
+    factors4 = factors.reshape(steps, seqs, 4, hidden)
+    dz_seq = np.empty_like(factors)
+    dz4 = dz_seq.reshape(steps, seqs, 4, hidden)
+    dh, dh_carry = np.empty_like(cells[0]), np.zeros_like(cells[0])
+    dc = np.zeros_like(cells[0])      # carries dc * f to the step before
     for t in reversed(range(steps)):
-        i, f, g, o = (cache[k][:, t] for k in ("i", "f", "g", "o"))
-        tc = cache["tc"][:, t]
-        c_prev = cache["c"][:, t - 1] if t > 0 else zeros
-        h_prev = cache["h"][:, t - 1] if t > 0 else zeros
-        dh = d_hidden_seq[:, t] + dh_carry
-        do = dh * tc
-        dc = dc_carry + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dc_carry = dc * f
-        dz = dz_seq[t]
-        dz[:, :hidden] = di * i * (1.0 - i)
-        dz[:, hidden:2 * hidden] = df * f * (1.0 - f)
-        dz[:, 2 * hidden:3 * hidden] = dg * (1.0 - g * g)
-        dz[:, 3 * hidden:] = do * o * (1.0 - o)
-        # These sums stay per step: one matmul over all steps would add the
-        # same terms in another order and change the low bits.
-        grads.w_input += dz.T @ cache["x"][:, t]
-        grads.w_recurrent += dz.T @ h_prev
-        grads.bias += dz.sum(axis=0)
-        dh_carry = dz @ layer.w_recurrent
+        np.add(d_hidden[t], dh_carry, out=dh)
+        dc += dh * cell_slope[t]
+        np.multiply(dc[:, None], factors4[t, :, :3], out=dz4[t, :, :3])
+        np.multiply(dh, factors4[t, :, 3], out=dz4[t, :, 3])
+        dc *= f[t]
+        np.matmul(dz_seq[t], layer.w_recurrent, out=dh_carry)
+    flat_dz = dz_seq.reshape(steps * seqs, -1)
+    np.matmul(flat_dz.T, inputs.reshape(steps * seqs, -1), out=grads.w_input)
+    np.matmul(flat_dz[seqs:].T, hiddens[:-1].reshape(-1, hidden),
+              out=grads.w_recurrent)
+    np.sum(flat_dz, axis=0, out=grads.bias)
     if not input_grad:
         return None
-    return (dz_seq @ layer.w_input).swapaxes(0, 1)
+    return dz_seq @ layer.w_input
 
 
 def backward(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray,
              mask: np.ndarray | None = None,
              reduction: str = "mean") -> tuple[float, NetworkParams]:
-    """Loss and exact gradients of bce_loss(forward(inputs), targets).
+    """Loss and exact gradients of bce_loss(forward(inputs), targets), in
+    the dtype of ``params.vector``.
 
     The gradients are views over one fresh flat vector, laid out like
     ``params``."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets, dtype=params.vector.dtype)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=targets.dtype)
     probs, caches = forward(params, inputs, return_cache=True)
     loss = bce_loss(probs, targets, mask=mask, reduction=reduction)
     clamped_off = (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
@@ -261,13 +265,12 @@ def backward(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray,
         count = float(probs.size)
     if reduction == "mean":
         d_logits = d_logits / count if count > 0 else d_logits
-    top_hidden = caches[-1]["h"]
-    seqs, steps, _ = top_hidden.shape
-    flat_dlogits = d_logits.reshape(seqs * steps, -1)
-    flat_hidden = top_hidden.reshape(seqs * steps, -1)
-    grads = vector_to_params(np.zeros(params.vector.size), params.layer_sizes)
-    grads.w_out[:] = flat_dlogits.T @ flat_hidden
-    grads.b_out[:] = flat_dlogits.sum(axis=0)
+    d_logits = d_logits.swapaxes(0, 1)          # time-major, as the caches
+    top_hidden = caches[-1][-1]
+    grads = vector_to_params(np.zeros_like(params.vector), params.layer_sizes)
+    np.matmul(d_logits.reshape(-1, params.class_count).T,
+              top_hidden.reshape(-1, top_hidden.shape[2]), out=grads.w_out)
+    np.sum(d_logits, axis=(0, 1), out=grads.b_out)
     d_hidden = d_logits @ params.w_out
     for index in reversed(range(len(params.layers))):
         # The first layer's input gradient would have no consumer.

@@ -158,15 +158,10 @@ def format_results_table(rows: dict[str, dict[str, MetricReport]],
         header.append(f"{context + ' F':>12}")
     lines = ["  ".join(header)]
     for name, per_context in rows.items():
+        ers = [per_context[context].error_rate for context in contexts]
+        fs = [per_context[context].f_score for context in contexts]
         cells = [name.ljust(name_width)]
-        ers, fs = [], []
-        for context in contexts:
-            rep = per_context[context]
-            ers.append(rep.error_rate)
-            fs.append(rep.f_score)
-            cells.append(f"{rep.error_rate:>12.2f}")
-            cells.append(f"{rep.f_score:>12.1f}")
-        cells.append(f"{float(np.mean(ers)):>12.2f}")
-        cells.append(f"{float(np.mean(fs)):>12.1f}")
+        for er, f in zip(ers + [float(np.mean(ers))], fs + [float(np.mean(fs))]):
+            cells += [f"{er:>12.2f}", f"{f:>12.1f}"]
         lines.append("  ".join(cells))
     return "\n".join(lines)

@@ -436,8 +436,9 @@ def ablation_tokens(combinations: list[str]) -> list[str]:
 
 
 def run_ablation(config: RunConfig, combinations: list[str],
-                 extracted: list[ContextData]) -> dict[str, dict[str, MetricReport]]:
-    """Train and evaluate every combination on every extracted context.
+                 extracted: list[ContextData]) -> dict[str, dict[str, tuple]]:
+    """Train and evaluate every combination on every extracted context;
+    each result is ``evaluate_context``'s report and per-fold counts.
 
     Each context holds the blocks of ``ablation_tokens(combinations)``,
     extracted once.  Each combination is sliced out and run through
@@ -445,7 +446,7 @@ def run_ablation(config: RunConfig, combinations: list[str],
     ``evaluate`` run it, with its models under
     ``<out>/ablation/<combination, ';' as '+'>``.
     """
-    rows: dict[str, dict[str, MetricReport]] = {c: {} for c in combinations}
+    rows: dict[str, dict[str, tuple]] = {c: {} for c in combinations}
     for data in extracted:
         for combination in combinations:
             features = select_combination(data, combination, config)
@@ -457,5 +458,5 @@ def run_ablation(config: RunConfig, combinations: list[str],
                 out_dir=os.path.join(config.out_dir, "ablation",
                                      sliced.combination.replace(";", "+")))
             train_context(run, sliced)
-            rows[combination][data.context], _ = evaluate_context(run, sliced)
+            rows[combination][data.context] = evaluate_context(run, sliced)
     return rows

@@ -12,7 +12,7 @@ parameters of the best epoch seen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,10 +79,11 @@ def split_sequences(features: np.ndarray, targets: np.ndarray,
     """Cut one recording into non-overlapping fixed-length sequences.
 
     The final partial sequence is zero-padded; its padding frames are masked
-    out.  Concatenating the valid frames back reconstructs the input.
+    out.  Concatenating the valid frames back reconstructs the input.  The
+    batch keeps float32 features float32; others become float64.
     """
-    features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    features = np.asarray(features, np.result_type(features, np.float32))
+    targets = np.asarray(targets, dtype=features.dtype)
     if features.shape[0] != targets.shape[0]:
         raise ValueError("features and targets must cover the same frames")
     if sequence_length < 1:
@@ -92,9 +93,9 @@ def split_sequences(features: np.ndarray, targets: np.ndarray,
         raise ValueError("cannot split an empty recording")
     count = math.ceil(frames / sequence_length)
     padded = count * sequence_length
-    inputs = np.zeros((padded, features.shape[1]))
-    target_grid = np.zeros((padded, targets.shape[1]))
-    mask = np.zeros(padded)
+    inputs = np.zeros((padded, features.shape[1]), features.dtype)
+    target_grid = np.zeros((padded, targets.shape[1]), features.dtype)
+    mask = np.zeros(padded, features.dtype)
     inputs[:frames] = features
     target_grid[:frames] = targets
     mask[:frames] = 1.0
@@ -188,15 +189,17 @@ def adam_step(params: np.ndarray, gradient: np.ndarray, state: AdamState,
               learning_rate: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8,
               ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns new parameters and state."""
+    """One bias-corrected Adam update in float64; returns new parameters
+    (rounded to the dtype of ``params``) and state."""
     step = state.step + 1
+    gradient = gradient.astype(np.float64, copy=False)
     first = beta1 * state.first_moment + (1.0 - beta1) * gradient
     second = beta2 * state.second_moment + (1.0 - beta2) * gradient * gradient
     first_hat = first / (1.0 - beta1 ** step)
     second_hat = second / (1.0 - beta2 ** step)
     updated = params - learning_rate * first_hat / (np.sqrt(second_hat) + epsilon)
-    return updated, AdamState(first_moment=first, second_moment=second,
-                              step=step)
+    return updated.astype(params.dtype, copy=False), AdamState(
+        first_moment=first, second_moment=second, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +261,12 @@ class TrainState:
 
 def init_train_state(input_size: int, class_count: int, config: TrainConfig,
                      seed) -> TrainState:
-    """``seed`` may be an int or a numpy SeedSequence."""
+    """``seed`` may be an int or a numpy SeedSequence.  The initial draws
+    are rounded to float32, the dtype the network trains in."""
     rng = np.random.default_rng(seed)
     layer_sizes = (input_size, *config.hidden_sizes, class_count)
     params = init_params(layer_sizes, rng, forget_bias=config.forget_bias)
-    vector = params_to_vector(params)
+    vector = params_to_vector(params).astype(np.float32)
     return TrainState(layer_sizes=layer_sizes, params_vector=vector,
                       adam=adam_init(vector.size), rng=rng)
 
@@ -324,12 +328,18 @@ def run_training(state: TrainState, train_batch: SequenceBatch,
     validation ER strictly decreased; after max(patience, 1) consecutive
     epochs without improvement the loop stops and the best parameters are
     kept.  The state is consistent at every epoch boundary, so a checkpoint
-    written there resumes bit-exactly.
-    """
+    written there resumes bit-exactly.  The data is cast once, to the dtype
+    of the parameter vector."""
     if not validation:
         raise ValueError("run_training needs at least one validation recording")
     if train_batch.inputs.shape[2] != state.layer_sizes[0]:
         raise ValueError("training features do not match the network input size")
+    dtype = state.params_vector.dtype
+    train_batch = replace(train_batch, **{
+        key: getattr(train_batch, key).astype(dtype, copy=False)
+        for key in ("inputs", "targets", "mask")})
+    validation = [(values.astype(dtype, copy=False), roll)
+                  for values, roll in validation]
     while not state.stopped and state.epoch < config.max_epochs:
         state.epoch += 1
         if config.block_mix_ratio > 0 and train_batch.sequence_count >= 2:

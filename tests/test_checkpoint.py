@@ -90,6 +90,31 @@ class TestRoundTrip:
         assert loaded.state.best_validation_er == np.inf
         assert loaded.state.history == []
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parameters_keep_their_dtype_and_moments_stay_float64(
+            self, tmp_path, dtype):
+        original = _checkpoint()
+        state = original.state
+        state.params_vector = state.params_vector.astype(dtype)
+        state.best_params_vector = state.best_params_vector.astype(dtype)
+        # Moments that float32 cannot hold.
+        state.adam.first_moment[:] = 1.0 / 3.0
+        state.adam.second_moment[:] = 1e-300
+        path = tmp_path / "fold0.ckpt"
+        save_checkpoint(path, original)
+        loaded = load_checkpoint(path).state
+        for got, want in ((loaded.params_vector, state.params_vector),
+                          (loaded.best_params_vector,
+                           state.best_params_vector)):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+        for got, want in ((loaded.adam.first_moment, state.adam.first_moment),
+                          (loaded.adam.second_moment,
+                           state.adam.second_moment)):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+        assert load_checkpoint(path).scaler.mean.dtype == np.float64
+
     def test_save_load_save_is_byte_identical(self, tmp_path):
         original = _checkpoint()
         first = tmp_path / "a.ckpt"
@@ -175,12 +200,30 @@ class TestCorruption:
         version, length = struct.unpack_from("<II", blob, 4)
         text = blob[12:12 + length].decode("utf-8")
         header = json.loads(text)
-        assert version == 2
+        assert version == 3
         assert text == json.dumps(header, sort_keys=True)
-        assert sorted(header) == ["class_order", "combination", "features",
-                                  "layer_sizes", "layout", "sequence_length",
-                                  "split", "threshold"]
+        assert sorted(header) == ["class_order", "combination", "dtype",
+                                  "features", "layer_sizes", "layout",
+                                  "sequence_length", "split", "threshold"]
+        assert header["dtype"] == "<f4"
         assert header["split"]["test"] == ["r1"]
+
+    def test_version_2_is_refused_with_advice_to_retrain(self, tmp_path):
+        path = tmp_path / "v2.ckpt"
+        save_checkpoint(path, _checkpoint())
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 2)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="version 2 .*retrain"):
+            load_checkpoint(path)
+
+    def test_unknown_parameter_dtype(self, tmp_path):
+        path = tmp_path / "f16.ckpt"
+        save_checkpoint(path, _checkpoint())
+        blob = path.read_bytes().replace(b'"dtype": "<f4"', b'"dtype": "<f2"')
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match="malformed checkpoint header"):
+            load_checkpoint(path)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.ckpt"

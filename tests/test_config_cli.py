@@ -397,7 +397,8 @@ class TestCliPipeline:
         table = json.loads((out / "ablation" / "table.json").read_text())
         assert table["mel_1;tdoa"]["park"] == {
             "error_rate": results["error_rate"],
-            "f_score": results["f_score"]}
+            "f_score": results["f_score"],
+            "per_fold": results["per_fold"]}
 
     def test_detect_features_equal_the_extracted_container(self, workspace):
         wav = workspace / "data" / "park" / "audio" / "rec001.wav"
@@ -574,6 +575,31 @@ class TestRunRecord:
         assert out_file.read_text() == events(recorded) \
             != events(FeatureConfig())
 
+    def test_train_records_the_manifest_feature_settings(self, workspace):
+        config = json.loads((workspace / "run.json").read_text())
+        config.update(out_dir=str(workspace / "out_hop10"), hop_length_ms=10.0)
+        extract_config = workspace / "hop10.json"
+        extract_config.write_text(json.dumps(config))
+        assert main(["extract", "--config", str(extract_config)]) == 0
+        del config["hop_length_ms"]
+        config["out_dir"] = str(workspace / "run_hop10")
+        train_config = workspace / "hop10_train.json"
+        train_config.write_text(json.dumps(config))
+        shutil.copytree(workspace / "out_hop10" / "features",
+                        workspace / "run_hop10" / "features")
+        assert main(["train", "--config", str(train_config)]) == 0
+        recorded = workspace / "run_hop10" / "config.json"
+        assert json.loads(recorded.read_text())["hop_length_ms"] == 10.0
+        assert load_config(recorded).feature_config() == load_checkpoint(
+            workspace / "run_hop10" / "models" / "park" / "fold0.ckpt"
+        ).feature_config
+        assert main(["extract", "--config", str(recorded),
+                     "--out", str(workspace / "rerun_hop10")]) == 0
+        for name in ("rec000", "rec003"):
+            rel = os.path.join("features", "park", f"{name}.feat")
+            assert (workspace / "rerun_hop10" / rel).read_bytes() \
+                == (workspace / "out_hop10" / rel).read_bytes()
+
     @pytest.mark.parametrize("command,flags", [
         ("evaluate", ["--seed", "9"]),
         ("evaluate", ["--folds", "3"]),
@@ -627,10 +653,30 @@ class TestCliErrors:
     def test_failed_run_writes_no_config(self, tmp_path, command):
         # extract and ablate find no recordings; train finds no features.
         out = tmp_path / f"run_{command}"
+        grid = ["--combinations", "mel_1"] if command == "ablate" else []
         assert main([command, "--context", "park", "--out", str(out),
-                     "--data-root", str(tmp_path / "nowhere"),
-                     "--combinations", "mel_1"]) == 2
+                     "--data-root", str(tmp_path / "nowhere")] + grid) == 2
         assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("train", ["--export-csv"]),
+        ("train", ["--combinations", "mel_1"]),
+        ("train", ["--macro"]),
+        ("extract", ["--hidden-sizes", "99"]),
+        ("extract", ["--max-epochs", "7"]),
+        ("extract", ["--seed", "3"]),
+        ("ablate", ["--features", "mel_1"]),
+        ("ablate", ["--export-csv"]),
+        ("synth", ["--patience", "3"]),
+        ("synth", ["--out", "runs"])])
+    def test_flags_a_command_never_reads_are_usage_errors(
+            self, tmp_path, capsys, command, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--context", "park",
+                  "--data-root", str(tmp_path / "data")] + flags)
+        assert excinfo.value.code == 1
+        assert flags[0] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_detect_missing_checkpoint_is_data_error(self, tmp_path):
         wav = tmp_path / "x.wav"
