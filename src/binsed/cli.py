@@ -17,11 +17,6 @@ import json
 import os
 import sys
 
-# One BLAS thread unless the user chose otherwise: the TDOA thread pool
-# already uses every core.  This must run before numpy is first imported.
-for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_variable, "1")
-
 import numpy as np
 
 from .audio import decode_wav

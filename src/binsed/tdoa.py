@@ -35,13 +35,15 @@ compute the stack once and collapse it.
 Every (frame, window) estimate is independent of the others, so the
 extractor splits each window's frames into tasks and runs the (window,
 task) pairs on a thread pool sized to the CPUs the process may use; numpy's
-FFT and the BLAS matmuls release the interpreter lock.  One spectrum budget
-(frames times FFT size in flight) is shared by the workers, so peak memory
-does not grow with the core count.  Each window is cut into equal tasks,
-sizes differing by at most one frame, whose count is a multiple of the
-worker count, so every worker gets the same share and no short remainder
-task costs an extra round.  The delays do not depend on the worker count or
-the split.
+FFT and the BLAS matmuls release the interpreter lock.  Two budgets of
+frames times FFT size are shared by the workers, so peak memory does not
+grow with the core count.  The task budget decides the split: each window
+is cut into equal tasks, sizes differing by at most one frame, whose count
+is a multiple of the worker count, so every worker gets the same share and
+no short remainder task costs an extra round.  The block budget, half as
+large, bounds memory: a task runs its frames in equal blocks through one
+pair of spectrum buffers of a block's size.  The delays do not depend on
+the worker count, the split or the blocks.
 """
 
 from __future__ import annotations
@@ -123,12 +125,14 @@ def _phat_cross_spectrum(bins1: np.ndarray, bins2: np.ndarray,
     magnitude, real = bins1.reshape(-1).view(np.float64).reshape(
         2, *bins1.shape)
     np.abs(cross, out=magnitude)
+    # Not ``magnitude <= floor``: a NaN magnitude must count as dead too.
     live = magnitude > floor
-    real.fill(0.0)
-    np.divide(cross.real, magnitude, out=real, where=live)
-    imag = np.divide(cross.imag, magnitude, out=magnitude, where=live)
-    np.logical_not(live, out=live)
-    imag[live] = 0.0
+    dead = np.logical_not(live, out=live)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(cross.real, magnitude, out=real)
+        imag = np.divide(cross.imag, magnitude, out=magnitude)
+    np.copyto(real, 0.0, where=dead)
+    np.copyto(imag, 0.0, where=dead)
     return real, imag
 
 
@@ -301,28 +305,41 @@ def collapse_windows(tdoa3: np.ndarray, band_count: int) -> np.ndarray:
     return _temporal_median3(median)
 
 
-# Frames times FFT size of the tasks in flight, summed over the workers:
-# this bounds the TDOA memory peak.
+# Frames times FFT size, each summed over the workers so that peak memory
+# does not grow with the core count.  The task budget decides how each
+# window is split into tasks, which balances the workers' load.  The block
+# budget bounds the spectra a task holds at once, and so the TDOA memory
+# peak.  Half the task budget keeps detection's speed; a quarter cost it
+# about 2% (BENCH_13.json).
 _SPECTRUM_BINS = 2 ** 21
+_BLOCK_BINS = _SPECTRUM_BINS // 2
 
 
 def _chunk_delays(out: np.ndarray, pair: list[np.ndarray], fft_size: int,
-                  plan: tuple[np.ndarray, tuple[_LagBasis, ...]],
+                  plan: tuple[np.ndarray, tuple[_LagBasis, ...], int],
                   floor: float) -> None:
     """Fill ``out`` (frames, bands) with the delays of a pair of segment
     matrices (frames, window_length).
 
-    Runs on worker threads, so it must call nothing the benchmark's tracer
-    wraps: its spans assume single-threaded, strictly nested calls.
+    ``plan`` is the window's lags and lag bases plus the most frames a
+    block may hold.  The frames run in equal blocks, sizes differing by at
+    most one frame.  All blocks are transformed into one pair of buffers:
+    arrays freed and taken again per block cost page faults.  Runs on worker
+    threads, so it must call nothing the benchmark's tracer wraps: its spans
+    assume single-threaded, strictly nested calls.
     """
-    offsets, bases = plan
-    bins1, bins2 = (np.fft.rfft(segments, n=fft_size, axis=1)
-                    for segments in pair)
-    real, imag = _phat_cross_spectrum(bins1, bins2, floor)
-    # The cross-spectrum goes before the band matmuls allocate theirs;
-    # ``real`` and ``imag`` live in the first spectrum's buffer.
-    del bins1, bins2
-    out[...] = _band_delays(real, imag, bases, offsets)
+    offsets, bases, rows = plan
+    blocks = [np.array_split(a, -(-len(out) // rows)) for a in (out, *pair)]
+    # Two arrays: one of twice the size raised the measured peak memory.
+    spectra = [np.empty((len(blocks[0][0]), fft_size // 2 + 1), complex)
+               for _ in pair]
+    for block_out, *segments in zip(*blocks):
+        bins1, bins2 = (np.fft.rfft(s, n=fft_size, axis=1,
+                                    out=buffer[:len(block_out)])
+                        for s, buffer in zip(segments, spectra))
+        # ``real`` and ``imag`` live in the first spectrum's buffer.
+        real, imag = _phat_cross_spectrum(bins1, bins2, floor)
+        block_out[...] = _band_delays(real, imag, bases, offsets)
 
 
 def extract_tdoa(clip: AudioClip, variant: str = "tdoa",
@@ -355,14 +372,14 @@ def extract_tdoa(clip: AudioClip, variant: str = "tdoa",
         plan = _window_plan(config.band_count, fft_size, sr, max_lag)
         pair = [_segments(samples, window_length, frame_count, sr, grid)
                 for samples in clip.samples]
-        # The workers share one budget, so peak memory does not grow with
-        # the CPU count.  Equal tasks, as many as the budget needs rounded
-        # up to a multiple of the workers, give every worker the same share.
+        # Equal tasks, as many as the task budget needs rounded up to a
+        # multiple of the workers, give every worker the same share.
         rows = max(1, _SPECTRUM_BINS // (cpus * fft_size))
         needed = -(-frame_count // rows)
         count = cpus * -(-needed // cpus)
         splits = [np.array_split(a, count) for a in (stacked[:, w], *pair)]
-        tasks.extend((out, [left, right], fft_size, plan)
+        block_rows = max(1, _BLOCK_BINS // (cpus * fft_size))
+        tasks.extend((out, [left, right], fft_size, (*plan, block_rows))
                      for out, left, right in zip(*splits) if len(out))
     with ThreadPoolExecutor(max_workers=min(cpus, len(tasks))) as pool:
         futures = [pool.submit(_chunk_delays, *task, config.spectral_floor)

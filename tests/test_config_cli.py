@@ -714,3 +714,28 @@ class TestBlasPinning:
         assert _python("import os, binsed.cli; "
                        "print(os.environ['OPENBLAS_NUM_THREADS'])",
                        OPENBLAS_NUM_THREADS="2") == "2"
+
+    # A library caller that never imports binsed.cli: binsed.pipeline loads
+    # numpy, and forked fold workers inherit its BLAS threads.
+    def test_library_import_pins_unset_thread_variables(self):
+        assert _python("import os, binsed.pipeline; print(' '.join("
+                       "os.environ[v] for v in ('OPENBLAS_NUM_THREADS', "
+                       "'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))") == "1 1 1"
+
+    def test_library_import_keeps_a_caller_setting(self):
+        assert _python("import os, binsed.pipeline; "
+                       "print(os.environ['MKL_NUM_THREADS'])",
+                       MKL_NUM_THREADS="3") == "3"
+
+    def test_library_import_runs_openblas_on_one_thread(self):
+        # numpy wheels bundle OpenBLAS as numpy.libs/libscipy_openblas*.
+        count = _python(
+            "import ctypes, glob, os, binsed.pipeline, numpy; "
+            "libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), "
+            "'..', 'numpy.libs', 'libscipy_openblas64_*')); "
+            "lib = libs and ctypes.CDLL(libs[0]); "
+            "get = getattr(lib, 'scipy_openblas_get_num_threads64_', None); "
+            "print(get() if get else 'unknown')")
+        if count == "unknown":
+            pytest.skip("numpy's bundled OpenBLAS is not loaded here")
+        assert count == "1"
