@@ -6,6 +6,7 @@ write the resolved configuration into the output directory.  Later commands
 read the records artefacts hold instead: train the manifest's feature
 settings, evaluate each checkpoint's split and settings (and only out_dir,
 contexts and macro_average from a config), detect all from its checkpoint.
+train and ablate train every fold of the command on one process pool.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 training failure.
 """
 
@@ -26,10 +27,11 @@ from .container import atomic_write_bytes
 from .errors import DataError, TrainingError, UsageError
 from .events import roll_to_events
 from .features import ABLATION_COMBINATIONS, assemble_features
-from .metrics import format_results_table
-from .pipeline import (ContextData, ablation_tokens, evaluate_context,
-                       extract_context, read_context_features, run_ablation,
-                       train_context, write_context_features)
+from .metrics import MetricReport, format_results_table
+from .pipeline import (ContextData, ablation_config, ablation_tokens,
+                       combination_data, evaluate_context, extract_context,
+                       read_context_features, train_runs,
+                       write_context_features)
 from .synth import (SynthClass, generate_dataset, parse_scene_plan,
                     synthesize_scene, write_scene)
 from .training import detect_roll
@@ -126,12 +128,33 @@ def _read_extracted(args: argparse.Namespace
 def cmd_train(args: argparse.Namespace) -> int:
     config, extracted = _read_extracted(args)
     write_resolved_config(config.out_dir, config)
-    for data in extracted:
-        for checkpoint in train_context(config, data):
+    runs = [(config, data) for data in extracted]
+    for data, checkpoints in zip(extracted, train_runs(runs)):
+        for checkpoint in checkpoints:
             state = checkpoint.state
             print(f"{data.context}: trained fold with best validation ER "
                   f"{state.best_validation_er:.3f} after {state.epoch} epochs")
     return EXIT_OK
+
+
+def _score(config: RunConfig, data: ContextData) -> tuple[MetricReport, dict]:
+    """A context's report, and its scores as results.json and table.json
+    hold them."""
+    report, per_fold = evaluate_context(config, data)
+    return report, {"combination": data.combination,
+                    **dataclasses.asdict(report),
+                    "per_fold": [dataclasses.asdict(c) for c in per_fold]}
+
+
+def _publish(directory: str, stem: str, payload: dict, table: str) -> None:
+    """Write ``<stem>.json`` and the ``<stem>.txt`` table, each atomically,
+    and print the table."""
+    os.makedirs(directory, exist_ok=True)
+    for suffix, text in ((".json", json.dumps(payload, indent=2)),
+                         (".txt", table)):
+        atomic_write_bytes(os.path.join(directory, stem + suffix),
+                           (text + "\n").encode("utf-8"))
+    print(table)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -140,30 +163,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = {}
     payload = {}
     for context, data in zip(contexts, extracted):
-        report, per_fold = evaluate_context(config, data)
-        rows[context] = report
-        payload[context] = {
-            "combination": data.combination,
-            "error_rate": report.error_rate,
-            "f_score": report.f_score,
-            "precision": report.precision,
-            "recall": report.recall,
-            "counts": dataclasses.asdict(report.counts),
-            "per_fold": [dataclasses.asdict(c) for c in per_fold],
-        }
+        rows[context], payload[context] = _score(config, data)
     payload["average"] = {
         "error_rate": float(np.mean([rows[c].error_rate for c in contexts])),
         "f_score": float(np.mean([rows[c].f_score for c in contexts])),
     }
     payload["averaging"] = "macro" if config.macro_average else "micro"
     table = format_results_table({config.features: rows}, contexts)
-    out_dir = os.path.join(config.out_dir, "evaluation")
-    os.makedirs(out_dir, exist_ok=True)
-    atomic_write_bytes(os.path.join(out_dir, "results.json"),
-                       (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
-    atomic_write_bytes(os.path.join(out_dir, "results.txt"),
-                       (table + "\n").encode("utf-8"))
-    print(table)
+    _publish(os.path.join(config.out_dir, "evaluation"), "results", payload, table)
     return EXIT_OK
 
 
@@ -196,23 +203,17 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     extracted = [extract_context(config, c, tokens=ablation_tokens(combinations))
                  for c in contexts]
     write_resolved_config(config.out_dir, config)
-    rows = run_ablation(config, combinations, extracted)
-    table = format_results_table(
-        {combo: {context: report for context, (report, _) in per.items()}
-         for combo, per in rows.items()}, contexts)
-    out_dir = os.path.join(config.out_dir, "ablation")
-    os.makedirs(out_dir, exist_ok=True)
-    payload = {combo: {context: {"error_rate": report.error_rate,
-                                 "f_score": report.f_score,
-                                 "per_fold": [dataclasses.asdict(c)
-                                              for c in per_fold]}
-                       for context, (report, per_fold) in per_context.items()}
-               for combo, per_context in rows.items()}
-    atomic_write_bytes(os.path.join(out_dir, "table.json"),
-                       (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
-    atomic_write_bytes(os.path.join(out_dir, "table.txt"),
-                       (table + "\n").encode("utf-8"))
-    print(table)
+    runs = {(data.context, c): (ablation_config(config, c), data)
+            for data in extracted for c in combinations}
+    train_runs(list(runs.values()))
+    rows = {c: {} for c in combinations}
+    payload = {c: {} for c in combinations}
+    for (context, c), (run, data) in runs.items():
+        # One slice at a time: each holds a copy of its features.
+        rows[c][context], payload[c][context] = _score(
+            run, combination_data(run, data))
+    table = format_results_table(rows, contexts)
+    _publish(os.path.join(config.out_dir, "ablation"), "table", payload, table)
     return EXIT_OK
 
 

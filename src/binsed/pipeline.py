@@ -14,6 +14,9 @@ Run artefacts land under the output directory::
     <out>/ablation/table.txt / table.json
     <out>/ablation/<combination, ';' as '+'>/models/<context>/fold<k>.ckpt / .log
     <out>/config.json
+
+``train_runs`` trains every fold of a ``train`` or ``ablate`` command on one
+pool of forked processes and writes each fold's files in job order.
 """
 
 from __future__ import annotations
@@ -135,6 +138,13 @@ def select_combination(data: ContextData, combination: str,
     """Slice a combination's blocks out of wider extracted features."""
     names = [s.token for s in parse_combination(combination)]
     return {name: matrix.select(names) for name, matrix in data.features.items()}
+
+
+def combination_data(config: RunConfig, data: ContextData) -> ContextData:
+    """``data`` holding only the blocks ``config.features`` names, in order."""
+    features = select_combination(data, config.features, config)
+    return dataclasses.replace(data, features=features, combination=";".join(
+        features[data.recordings[0]].layout.block_names))
 
 
 # ---------------------------------------------------------------------------
@@ -314,28 +324,33 @@ def _init_fold_worker() -> None:
     signal.signal(signal.SIGUSR1, _stop_fold)
 
 
-def _train_fold_job(config: RunConfig, data: ContextData,
-                    split: FoldSplit) -> Checkpoint:
-    """``train_fold`` in a pool worker, unless the parent has stopped it."""
+# The (run config, context, fold) jobs of ``train_runs``: forked workers
+# inherit them and read their job by index, so no ContextData is pickled.
+_jobs: list[tuple[RunConfig, ContextData, FoldSplit]] = []
+
+
+def _train_job(index: int) -> Checkpoint:
+    """``train_fold`` on job ``index``, unless the parent has stopped it."""
     global _training
     try:
         _training = True
         if _stopped:
             raise TrainingError("stopped because another fold failed")
-        return train_fold(config, data, split)
+        config, data, split = _jobs[index]
+        return train_fold(config, combination_data(config, data), split)
     finally:
         _training = False
 
 
-def train_context(config: RunConfig, data: ContextData) -> list[Checkpoint]:
-    """Train every fold of a context and persist checkpoints and logs.
-
-    The folds train on a pool of forked processes, one per CPU up to the
-    fold count; each draws from its own ``fold_seed``, so the results do not
-    depend on the worker count.  This process writes each fold's files in
-    fold order as its result arrives: when fold k raises, folds before k are
-    saved, nothing after them is, the folds still training are stopped and
-    the rest are cancelled.
+def train_runs(runs: list[tuple[RunConfig, ContextData]]) -> list[list[Checkpoint]]:
+    """Train and save every fold of each run: a context, trained on the
+    combination its config's ``features`` names.  Every fold's coverage is
+    checked before anything trains; then all folds train on one pool of
+    forked processes, one per CPU up to the job count.  Each draws from its
+    own ``fold_seed``, so the results do not depend on the worker count.
+    This process writes each fold's files in job order as its result
+    arrives: when a job raises, the jobs before it are saved, nothing after
+    them is, the folds still training are stopped and the rest cancelled.
     """
     # Imported here, because they add about 1.3 MB to the peak memory of
     # extract and detect, which start no process pool.
@@ -343,28 +358,28 @@ def train_context(config: RunConfig, data: ContextData) -> list[Checkpoint]:
     import signal
     from concurrent.futures import ProcessPoolExecutor
 
-    directory = models_dir(config, data.context)
-    os.makedirs(directory, exist_ok=True)
-    folds = context_folds(config, data)
-    checkpoints = []
+    folds = [context_folds(config, data) for config, data in runs]
+    _jobs[:] = [(config, data, split)
+                for (config, data), splits in zip(runs, folds)
+                for split in splits]
+    done: list[Checkpoint] = []
     existing = set(multiprocessing.active_children())
-    # Forked workers inherit the BLAS thread settings; the pool forks them
-    # all at the first submit, before it starts any thread of its own.
-    with ProcessPoolExecutor(max_workers=min(parallel.cpu_count(), len(folds)),
+    # Forked workers inherit the jobs and BLAS thread settings: the pool forks
+    # them all at its first submit, before it starts any thread of its own.
+    with ProcessPoolExecutor(max_workers=min(parallel.cpu_count(), len(_jobs)),
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_fold_worker) as pool:
-        futures = [pool.submit(_train_fold_job, config, data, split)
-                   for split in folds]
         try:
-            for split, future in zip(folds, futures):
+            futures = [pool.submit(_train_job, index)
+                       for index in range(len(_jobs))]
+            for (config, data, split), future in zip(_jobs, futures):
                 checkpoint = future.result()
-                save_checkpoint(os.path.join(directory,
-                                             f"fold{split.fold_index}.ckpt"),
-                                checkpoint)
-                write_training_log(os.path.join(directory,
-                                                f"fold{split.fold_index}.log"),
-                                   checkpoint)
-                checkpoints.append(checkpoint)
+                stem = os.path.join(models_dir(config, data.context),
+                                    f"fold{split.fold_index}")
+                os.makedirs(os.path.dirname(stem), exist_ok=True)
+                save_checkpoint(stem + ".ckpt", checkpoint)
+                write_training_log(stem + ".log", checkpoint)
+                done.append(checkpoint)
         except BaseException:
             # Shutting down waits for every fold a worker has taken, which
             # may train for thousands of epochs: stop those folds first.
@@ -372,7 +387,15 @@ def train_context(config: RunConfig, data: ContextData) -> list[Checkpoint]:
                 os.kill(worker.pid, signal.SIGUSR1)
             pool.shutdown(cancel_futures=True)
             raise
-    return checkpoints
+        finally:
+            _jobs.clear()
+    return [[done.pop(0) for _ in splits] for splits in folds]
+
+
+def train_context(config: RunConfig, data: ContextData) -> list[Checkpoint]:
+    """``train_runs`` on the folds of one context, as extracted."""
+    run = dataclasses.replace(config, features=data.combination)
+    return train_runs([(run, data)])[0]
 
 
 def evaluate_context(config: RunConfig, data: ContextData,
@@ -427,36 +450,13 @@ def evaluate_context(config: RunConfig, data: ContextData,
 
 
 def ablation_tokens(combinations: list[str]) -> list[str]:
-    tokens = []
-    for combination in combinations:
-        for spec in parse_combination(combination):
-            if spec.token not in tokens:
-                tokens.append(spec.token)
-    return tokens
+    return list(dict.fromkeys(spec.token for combination in combinations
+                              for spec in parse_combination(combination)))
 
 
-def run_ablation(config: RunConfig, combinations: list[str],
-                 extracted: list[ContextData]) -> dict[str, dict[str, tuple]]:
-    """Train and evaluate every combination on every extracted context;
-    each result is ``evaluate_context``'s report and per-fold counts.
-
-    Each context holds the blocks of ``ablation_tokens(combinations)``,
-    extracted once.  Each combination is sliced out and run through
-    ``train_context`` and ``evaluate_context``, exactly as ``train`` and
-    ``evaluate`` run it, with its models under
-    ``<out>/ablation/<combination, ';' as '+'>``.
-    """
-    rows: dict[str, dict[str, tuple]] = {c: {} for c in combinations}
-    for data in extracted:
-        for combination in combinations:
-            features = select_combination(data, combination, config)
-            columns = features[data.recordings[0]].layout.block_names
-            sliced = dataclasses.replace(data, combination=";".join(columns),
-                                         features=features)
-            run = dataclasses.replace(
-                config, features=sliced.combination,
-                out_dir=os.path.join(config.out_dir, "ablation",
-                                     sliced.combination.replace(";", "+")))
-            train_context(run, sliced)
-            rows[combination][data.context] = evaluate_context(run, sliced)
-    return rows
+def ablation_config(config: RunConfig, combination: str) -> RunConfig:
+    """The run config of one combination of an ablation grid; its models go
+    under ``<out>/ablation/<combination, ';' as '+'>``."""
+    name = ";".join(spec.token for spec in parse_combination(combination))
+    return dataclasses.replace(config, features=name, out_dir=os.path.join(
+        config.out_dir, "ablation", name.replace(";", "+")))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .audio import AudioClip, encode_wav
+from .container import atomic_write_bytes
 from .errors import DataError
 from .events import Event, EventList
 from .melbank import build_mel_filterbank
@@ -257,10 +258,8 @@ def write_scene(scene: SyntheticScene, data_root, context: str,
     encode_wav(os.path.join(audio_dir, f"{recording}.wav"), scene.clip, bits=bits)
     lines = [f"{e.onset:.3f}\t{e.offset:.3f}\t{e.label}"
              for e in scene.truth.events]
-    tmp = os.path.join(ann_dir, f"{recording}.txt.tmp{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-    os.replace(tmp, os.path.join(ann_dir, f"{recording}.txt"))
+    atomic_write_bytes(os.path.join(ann_dir, f"{recording}.txt"),
+                       ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
 
 
 def generate_dataset(data_root, context: str, classes: list[SynthClass],

@@ -1,4 +1,5 @@
-"""Folds train on a process pool; the parent writes their files in fold order.
+"""Every fold of a command trains on one process pool; the parent writes
+their files in job order (context, combination, fold).
 
 Checkpoints and logs must not depend on the worker count, and a fold that
 fails in a worker must leave the files the serial order would have left.
@@ -8,6 +9,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import time
 
@@ -45,23 +47,38 @@ def corpus(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def contexts(corpus):
+    """Two more contexts beside park: street, synthesised with another seed,
+    and broken, park's recordings with a class only rec000 has, so the fold
+    that tests rec000 never trains on that class."""
+    run = str(corpus / "run.json")
+    assert main(["synth", "--config", run, "--context", "street",
+                 "--seed", "8"]) == 0
+    shutil.copytree(corpus / "data" / "park", corpus / "data" / "broken")
+    with open(corpus / "data" / "broken" / "annotations" / "rec000.txt",
+              "a", encoding="utf-8") as fh:
+        fh.write("0.500\t1.500\tbark\n")
+    assert main(["extract", "--config", run, "--context", "street",
+                 "--context", "broken"]) == 0
+    return corpus
+
+
 def _config(corpus, out_dir):
     return load_config(corpus / "run.json", {"out_dir": str(out_dir)})
 
 
-def _with_features(corpus, name):
+def _with_features(corpus, name, contexts=("park",)):
     """A run directory holding a copy of the extracted features."""
     out = corpus / name
-    source = corpus / "extracted" / "features" / "park"
-    target = out / "features" / "park"
-    target.mkdir(parents=True)
-    for entry in os.listdir(source):
-        (target / entry).write_bytes((source / entry).read_bytes())
+    for context in contexts:
+        shutil.copytree(corpus / "extracted" / "features" / context,
+                        out / "features" / context)
     return out
 
 
-def _model_files(out):
-    directory = out / "models" / "park"
+def _model_files(out, context="park"):
+    directory = out / "models" / context
     if not directory.is_dir():
         return {}
     return {name: (directory / name).read_bytes()
@@ -70,6 +87,19 @@ def _model_files(out):
 
 def _force_cpus(monkeypatch, cpus):
     monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+
+
+def _record_pool_sizes(monkeypatch):
+    """The worker count of each process pool started from now on."""
+    sizes = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return sizes
 
 
 class TestWorkerCount:
@@ -91,15 +121,7 @@ class TestWorkerCount:
         assert sorted(want) == ["fold0.ckpt", "fold0.log", "fold1.ckpt",
                                 "fold1.log", "fold2.ckpt", "fold2.log"]
 
-        sizes = []
-
-        class Recorded(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            Recorded)
+        sizes = _record_pool_sizes(monkeypatch)
         for cpus in (1, 2, 3, 4):
             _force_cpus(monkeypatch, cpus)
             out = corpus / f"workers{cpus}"
@@ -120,16 +142,79 @@ class TestWorkerCount:
         assert runs[0] == runs[1] and len(runs[0]) == 6
 
 
-def _fail_in_worker(monkeypatch, fold, error):
-    """Make ``train_fold`` raise ``error`` for ``fold``, in the worker only."""
+class TestOnePool:
+    """Every fold of a command trains on one pool, written in job order."""
+
+    def test_two_contexts_match_each_context_trained_alone(self, contexts,
+                                                           monkeypatch):
+        run = str(contexts / "run.json")
+        want = {}
+        for context in ("park", "street"):
+            out = _with_features(contexts, f"alone_{context}", (context,))
+            assert main(["train", "--config", run, "--out", str(out),
+                         "--context", context]) == 0
+            want[context] = _model_files(out, context)
+            assert len(want[context]) == 6
+        sizes = _record_pool_sizes(monkeypatch)
+        for cpus in (1, 2, 3):
+            _force_cpus(monkeypatch, cpus)
+            out = _with_features(contexts, f"together{cpus}",
+                                 ("park", "street"))
+            assert main(["train", "--config", run, "--out", str(out),
+                         "--context", "park", "--context", "street"]) == 0
+            assert {c: _model_files(out, c) for c in want} == want, cpus
+            assert pipeline._jobs == []
+        # One pool per command, one worker per CPU.
+        assert sizes == [1, 2, 3]
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_uncovered_fold_refused_before_any_training(self, contexts,
+                                                        capsys, command):
+        # broken comes after park: park's folds would train first.
+        out = _with_features(contexts, f"uncovered_{command}",
+                             ("park", "broken"))
+        grid = ["--combinations", "mel_1,mel_1;tdoa"] \
+            if command == "ablate" else []
+        capsys.readouterr()
+        assert main([command, "--config", str(contexts / "run.json"),
+                     "--out", str(out), "--context", "park",
+                     "--context", "broken"] + grid) == 2
+        assert "['bark'] never occur" in capsys.readouterr().err
+        assert list(out.rglob("models")) == []
+        assert list(out.rglob("*.ckpt")) == []
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_failing_combination_keeps_only_the_earlier_ones(
+            self, corpus, monkeypatch, capsys, cpus):
+        _force_cpus(monkeypatch, cpus)
+        _fail_in_worker(monkeypatch, 0, DivergenceError("loss became nan"),
+                        combination="mel_1;tdoa")
+        out = corpus / f"ablate_failing{cpus}"
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(corpus / "run.json"),
+                     "--out", str(out),
+                     "--combinations", "mel_1,mel_1;tdoa"]) == 3
+        assert "loss became nan" in capsys.readouterr().err
+        ablation = out / "ablation"
+        # No mel_1+tdoa directory and no table.json or table.txt.
+        assert os.listdir(ablation) == ["mel_1"]
+        assert sorted(_model_files(ablation / "mel_1")) == [
+            f"fold{k}.{ext}" for k in range(3) for ext in ("ckpt", "log")]
+        assert multiprocessing.active_children() == []
+        assert pipeline._jobs == []
+
+
+def _fail_in_worker(monkeypatch, fold, error, combination=None):
+    """Make ``train_fold`` raise ``error`` for ``fold`` (of ``combination``
+    only, unless None), in the worker only."""
     parent = os.getpid()
     original = pipeline.fold_seed
 
-    def fold_seed(config_seed, context, combination, fold_index):
+    def fold_seed(config_seed, context, combination_name, fold_index):
         assert os.getpid() != parent, "train_fold ran in the parent"
-        if fold_index == fold:
+        if fold_index == fold and combination in (None, combination_name):
             raise error
-        return original(config_seed, context, combination, fold_index)
+        return original(config_seed, context, combination_name, fold_index)
 
     monkeypatch.setattr(pipeline, "fold_seed", fold_seed)
 
