@@ -2,9 +2,11 @@
 
 A checkpoint freezes everything needed to run detection (best parameters,
 scaler, class order, feature combination and settings, sequence length,
-threshold), to score its fold (the split) and to resume training bit-exactly
-from an epoch boundary (current parameters, Adam moments, early-stopping
-counters, RNG state, history).
+threshold), to score its fold (the split), to name the run that trained it
+(the seed and context, which with the combination and fold index give its
+``fold_seed``) and to resume training bit-exactly from an epoch boundary
+(current parameters, Adam moments, early-stopping counters, RNG state,
+history).
 
 Little-endian binary layout: magic ``BSC1``, version, a length-prefixed JSON
 header, then count-prefixed arrays in the order written below: float64,
@@ -29,7 +31,7 @@ from .layout import FeatureLayout
 from .training import AdamState, EpochRecord, Scaler, TrainState
 
 MAGIC = b"BSC1"
-VERSION = 3
+VERSION = 4
 
 
 @dataclass
@@ -43,6 +45,8 @@ class Checkpoint:
     feature_config: FeatureConfig
     sequence_length: int
     threshold: float
+    seed: int
+    context: str
 
 
 def _pack_array(values: np.ndarray, dtype: str = "<f8") -> bytes:
@@ -78,10 +82,12 @@ def save_checkpoint(path: str | os.PathLike, checkpoint: Checkpoint) -> None:
     header = json.dumps({
         "class_order": checkpoint.class_order,
         "combination": checkpoint.combination,
+        "context": checkpoint.context,
         "dtype": dtype,
         "features": feature_config_to_json(checkpoint.feature_config),
         "layer_sizes": state.layer_sizes,
         "layout": checkpoint.layout.blocks,
+        "seed": checkpoint.seed,
         "sequence_length": checkpoint.sequence_length,
         "split": asdict(checkpoint.split),
         "threshold": checkpoint.threshold,
@@ -141,7 +147,9 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
                                tuple(value) for key, value in split.items()}),
             feature_config=feature_config_from_json(header["features"]),
             sequence_length=header["sequence_length"],
-            threshold=header["threshold"])
+            threshold=header["threshold"],
+            seed=header["seed"],
+            context=header["context"])
         layer_sizes = tuple(header["layer_sizes"])
         dtype = header["dtype"]
         if dtype not in ("<f4", "<f8"):

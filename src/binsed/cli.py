@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .audio import decode_wav
-from .checkpoint import load_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint
 from .config import RunConfig, load_config, write_resolved_config
 from .container import atomic_write_bytes
 from .errors import DataError, TrainingError, UsageError
@@ -29,8 +29,8 @@ from .events import roll_to_events
 from .features import ABLATION_COMBINATIONS, assemble_features
 from .metrics import MetricReport, format_results_table
 from .pipeline import (ContextData, ablation_config, ablation_tokens,
-                       combination_data, evaluate_context, extract_context,
-                       read_context_features, train_runs,
+                       combination_data, context_folds, evaluate_context,
+                       extract_context, read_context_features, train_runs,
                        write_context_features)
 from .synth import (SynthClass, generate_dataset, parse_scene_plan,
                     synthesize_scene, write_scene)
@@ -125,11 +125,20 @@ def _read_extracted(args: argparse.Namespace
             extracted)
 
 
+def _train(config: RunConfig, runs: list[tuple[RunConfig, ContextData]]
+           ) -> list[list[Checkpoint]]:
+    """``train_runs`` on ``runs``, writing the command's config.json once
+    every fold's coverage has passed, so a refused run leaves none."""
+    for run, data in runs:
+        context_folds(run, data)
+    write_resolved_config(config.out_dir, config)
+    return train_runs(runs)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config, extracted = _read_extracted(args)
-    write_resolved_config(config.out_dir, config)
     runs = [(config, data) for data in extracted]
-    for data, checkpoints in zip(extracted, train_runs(runs)):
+    for data, checkpoints in zip(extracted, _train(config, runs)):
         for checkpoint in checkpoints:
             state = checkpoint.state
             print(f"{data.context}: trained fold with best validation ER "
@@ -202,10 +211,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     combinations = list(config.combinations) or list(ABLATION_COMBINATIONS)
     extracted = [extract_context(config, c, tokens=ablation_tokens(combinations))
                  for c in contexts]
-    write_resolved_config(config.out_dir, config)
     runs = {(data.context, c): (ablation_config(config, c), data)
             for data in extracted for c in combinations}
-    train_runs(list(runs.values()))
+    _train(config, list(runs.values()))
     rows = {c: {} for c in combinations}
     payload = {c: {} for c in combinations}
     for (context, c), (run, data) in runs.items():

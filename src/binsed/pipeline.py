@@ -284,7 +284,8 @@ def train_fold(config: RunConfig, data: ContextData, split: FoldSplit,
                       combination=combination, layout=layout, split=split,
                       feature_config=data.feature_config,
                       sequence_length=train_config.sequence_length,
-                      threshold=train_config.threshold)
+                      threshold=train_config.threshold,
+                      seed=config.seed, context=data.context)
 
 
 def models_dir(config: RunConfig, context: str) -> str:

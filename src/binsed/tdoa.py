@@ -35,15 +35,13 @@ compute the stack once and collapse it.
 Every (frame, window) estimate is independent of the others, so the
 extractor splits each window's frames into tasks and runs the (window,
 task) pairs on a thread pool sized to the CPUs the process may use; numpy's
-FFT and the BLAS matmuls release the interpreter lock.  Two budgets of
-frames times FFT size are shared by the workers, so peak memory does not
-grow with the core count.  The task budget decides the split: each window
-is cut into equal tasks, sizes differing by at most one frame, whose count
-is a multiple of the worker count, so every worker gets the same share and
-no short remainder task costs an extra round.  The block budget, half as
-large, bounds memory: a task runs its frames in equal blocks through one
-pair of spectrum buffers of a block's size.  The delays do not depend on
-the worker count, the split or the blocks.
+FFT and the BLAS matmuls release the interpreter lock.  Each window is cut
+into one task per worker, sizes differing by at most one frame, so every
+worker gets the same share.  One budget of frames times FFT size, shared by
+the workers so that peak memory does not grow with the core count, bounds
+memory: a task runs its frames in equal blocks within its worker's share,
+through one pair of spectrum buffers of a block's size.  The delays do not
+depend on the worker count, the split or the blocks.
 """
 
 from __future__ import annotations
@@ -305,14 +303,11 @@ def collapse_windows(tdoa3: np.ndarray, band_count: int) -> np.ndarray:
     return _temporal_median3(median)
 
 
-# Frames times FFT size, each summed over the workers so that peak memory
-# does not grow with the core count.  The task budget decides how each
-# window is split into tasks, which balances the workers' load.  The block
-# budget bounds the spectra a task holds at once, and so the TDOA memory
-# peak.  Half the task budget keeps detection's speed; a quarter cost it
-# about 2% (BENCH_13.json).
-_SPECTRUM_BINS = 2 ** 21
-_BLOCK_BINS = _SPECTRUM_BINS // 2
+# Frames times FFT size, summed over the workers so that peak memory does
+# not grow with the core count: each task's block of spectra stays within
+# its worker's share, which bounds the TDOA memory peak.  This size keeps
+# detection's speed; half of it cost about 2% (BENCH_13.json).
+_BLOCK_BINS = 2 ** 20
 
 
 def _chunk_delays(out: np.ndarray, pair: list[np.ndarray], fft_size: int,
@@ -372,12 +367,8 @@ def extract_tdoa(clip: AudioClip, variant: str = "tdoa",
         plan = _window_plan(config.band_count, fft_size, sr, max_lag)
         pair = [_segments(samples, window_length, frame_count, sr, grid)
                 for samples in clip.samples]
-        # Equal tasks, as many as the task budget needs rounded up to a
-        # multiple of the workers, give every worker the same share.
-        rows = max(1, _SPECTRUM_BINS // (cpus * fft_size))
-        needed = -(-frame_count // rows)
-        count = cpus * -(-needed // cpus)
-        splits = [np.array_split(a, count) for a in (stacked[:, w], *pair)]
+        # One equal task per worker gives every worker the same share.
+        splits = [np.array_split(a, cpus) for a in (stacked[:, w], *pair)]
         block_rows = max(1, _BLOCK_BINS // (cpus * fft_size))
         tasks.extend((out, [left, right], fft_size, (*plan, block_rows))
                      for out, left, right in zip(*splits) if len(out))

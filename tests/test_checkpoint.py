@@ -29,7 +29,7 @@ def _record(state, scaler):
                       class_order=("dog", "car horn", "beep"),
                       combination="mel_1", layout=LAYOUT, split=SPLIT,
                       feature_config=FEATURES, sequence_length=12,
-                      threshold=0.375)
+                      threshold=0.375, seed=2 ** 40 + 3, context="metro hall")
 
 
 def _checkpoint(seed=0, with_history=True):
@@ -61,6 +61,8 @@ class TestRoundTrip:
         assert loaded.feature_config == FEATURES
         assert loaded.sequence_length == 12
         assert loaded.threshold == 0.375
+        assert loaded.seed == 2 ** 40 + 3
+        assert loaded.context == "metro hall"
         a, b = original.state, loaded.state
         assert b.layer_sizes == a.layer_sizes
         assert np.array_equal(b.params_vector, a.params_vector)
@@ -184,13 +186,15 @@ class TestCorruption:
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
 
-    def test_version_1_is_refused_with_advice_to_retrain(self, tmp_path):
-        path = tmp_path / "v1.ckpt"
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_version_is_refused_with_advice_to_retrain(self, tmp_path,
+                                                             version):
+        path = tmp_path / f"v{version}.ckpt"
         save_checkpoint(path, _checkpoint())
         blob = bytearray(path.read_bytes())
-        blob[4:8] = struct.pack("<I", 1)
+        blob[4:8] = struct.pack("<I", version)
         path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="version 1 .*retrain"):
+        with pytest.raises(DataError, match=f"version {version} .*retrain"):
             load_checkpoint(path)
 
     def test_header_is_one_sorted_json_object(self, tmp_path):
@@ -200,22 +204,14 @@ class TestCorruption:
         version, length = struct.unpack_from("<II", blob, 4)
         text = blob[12:12 + length].decode("utf-8")
         header = json.loads(text)
-        assert version == 3
+        assert version == 4
         assert text == json.dumps(header, sort_keys=True)
-        assert sorted(header) == ["class_order", "combination", "dtype",
-                                  "features", "layer_sizes", "layout",
-                                  "sequence_length", "split", "threshold"]
+        assert sorted(header) == ["class_order", "combination", "context",
+                                  "dtype", "features", "layer_sizes",
+                                  "layout", "seed", "sequence_length",
+                                  "split", "threshold"]
         assert header["dtype"] == "<f4"
         assert header["split"]["test"] == ["r1"]
-
-    def test_version_2_is_refused_with_advice_to_retrain(self, tmp_path):
-        path = tmp_path / "v2.ckpt"
-        save_checkpoint(path, _checkpoint())
-        blob = bytearray(path.read_bytes())
-        blob[4:8] = struct.pack("<I", 2)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="version 2 .*retrain"):
-            load_checkpoint(path)
 
     def test_unknown_parameter_dtype(self, tmp_path):
         path = tmp_path / "f16.ckpt"

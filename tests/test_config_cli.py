@@ -168,7 +168,7 @@ class TestPipelineUnits:
                           split=FoldSplit(fold_index=k, train=halves[1 - k],
                                           validation=(), test=halves[k]),
                           feature_config=hop_10ms, sequence_length=25,
-                          threshold=0.5)
+                          threshold=0.5, seed=config.seed, context="c")
             for k in (0, 1)}
         report, per_fold = evaluate_context(config, data,
                                             checkpoints=checkpoints)

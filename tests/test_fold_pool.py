@@ -16,7 +16,7 @@ import time
 import pytest
 
 from binsed import parallel, pipeline
-from binsed.checkpoint import save_checkpoint
+from binsed.checkpoint import load_checkpoint, save_checkpoint
 from binsed.cli import main
 from binsed.config import load_config
 from binsed.errors import DataError, DivergenceError
@@ -182,6 +182,23 @@ class TestOnePool:
         assert "['bark'] never occur" in capsys.readouterr().err
         assert list(out.rglob("models")) == []
         assert list(out.rglob("*.ckpt")) == []
+        assert list(out.rglob("config.json")) == []
+
+    def test_checkpoints_record_the_seed_and_context(self, contexts):
+        extracted = _config(contexts, contexts / "extracted")
+        data = [pipeline.read_context_features(extracted, context)
+                for context in ("park", "street")]
+        out = contexts / "seeded"
+        config = load_config(contexts / "run.json",
+                             {"out_dir": str(out), "seed": 11})
+        trained = pipeline.train_runs([(config, d) for d in data])
+        for context, checkpoints in zip(("park", "street"), trained):
+            for checkpoint in checkpoints:
+                assert (checkpoint.seed, checkpoint.context) == (11, context)
+                saved = load_checkpoint(
+                    out / "models" / context
+                    / f"fold{checkpoint.split.fold_index}.ckpt")
+                assert (saved.seed, saved.context) == (11, context)
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_failing_combination_keeps_only_the_earlier_ones(

@@ -336,8 +336,8 @@ def _regression_clips():
     rng = np.random.default_rng(21)
     plan = [e for e in random_scene_plan(classes, 10.5, rng)
             if 0.01 < e.onset and e.offset < 10.49]
-    # 10.5 s: 524 frames, which the 480 ms window splits into several
-    # tasks: 3 of 174-175 frames on one worker, 6 of 87-88 on two.
+    # 10.5 s: 524 frames, which the 480 ms window runs in several blocks:
+    # 5 of 104-105 frames on one worker, and 5 of 52-53 per task on two.
     yield "scene", synthesize_scene(plan, 10.5, rng=rng).clip
     rng = np.random.default_rng(4)
     n = 48000
@@ -416,32 +416,35 @@ class TestWhiteningOperandOrder:
 
 
 class TestWorkersAndChunks:
-    """The delays must not depend on how the (window, chunk) tasks are cut
-    or on how many threads run them."""
+    """The delays must not depend on how the (window, task) pairs are cut
+    into blocks or on how many threads run them."""
 
     @pytest.mark.parametrize("name,clip", list(_regression_clips()))
     def test_tdoa3_independent_of_workers_and_chunking(self, name, clip,
                                                        monkeypatch):
-        calls = []
-        chunk_delays = tdoa._chunk_delays
+        transforms = []
+        rfft = np.fft.rfft
 
-        def spy(*args):
-            calls.append(args)
-            chunk_delays(*args)
+        def spy(segments, n=None, **kwargs):
+            transforms.append(n)
+            return rfft(segments, n=n, **kwargs)
 
-        monkeypatch.setattr(tdoa, "_chunk_delays", spy)
+        monkeypatch.setattr(tdoa.np.fft, "rfft", spy)
 
         def run(cpus, budget):
             monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
-            monkeypatch.setattr(tdoa, "_SPECTRUM_BINS", budget)
-            calls.clear()
+            monkeypatch.setattr(tdoa, "_BLOCK_BINS", budget)
+            transforms.clear()
             return extract_tdoa(clip, "tdoa3").values
 
         want = run(1, 2 ** 22)
         assert np.array_equal(run(2, 2 ** 22), want)
-        # 2 ** 12 bins cut every window of every scene into several chunks.
+        # 2 ** 12 bins cut every window of every scene into several blocks:
+        # more than one transform per channel for each FFT size.
         assert np.array_equal(run(1, 2 ** 12), want)
-        assert len(calls) > 2 * len(TdoaConfig().window_lengths_ms)
+        windows = len(TdoaConfig().window_lengths_ms)
+        assert len(set(transforms)) == windows
+        assert all(transforms.count(n) > 2 for n in set(transforms))
         assert np.array_equal(run(2, 2 ** 12), want)
         # More workers than cores, switching threads as often as possible.
         interval = sys.getswitchinterval()
@@ -504,8 +507,8 @@ def _task_frames(calls):
 
 
 class TestEvenSplit:
-    """Each window is cut into equal tasks, as many as the spectrum budget
-    needs rounded up to a multiple of the workers."""
+    """Each window is cut into one task per worker, sizes differing by at
+    most one frame; empty tasks are dropped."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -519,23 +522,20 @@ class TestEvenSplit:
         monkeypatch.setattr(tdoa, "_chunk_delays", spy)
         return calls
 
-    @pytest.mark.parametrize("seconds", [3.0, 12.0])
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("budget", [None, 2 ** 16])
-    def test_tasks_are_even_and_within_budget(self, calls, monkeypatch,
-                                              seconds, cpus, budget):
+    # 0.1 s has 4 frames: on 5 workers each window gets 4 tasks.
+    @pytest.mark.parametrize("seconds", [0.1, 3.0, 12.0])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_one_even_task_per_worker(self, calls, monkeypatch, seconds,
+                                      cpus):
         monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
-        if budget is not None:
-            monkeypatch.setattr(tdoa, "_SPECTRUM_BINS", budget)
         clip = _delayed_noise_clip(+3, seconds=seconds)
         frames = extract_tdoa(clip, "tdoa3").frame_count
         sizes = _task_frames(calls)
         assert len(sizes) == len(TdoaConfig().window_lengths_ms)
-        for fft_size, tasks in sizes.items():
-            assert len(tasks) % cpus == 0
+        for tasks in sizes.values():
+            assert len(tasks) == min(cpus, frames)
             assert max(tasks) - min(tasks) <= 1
             assert sum(tasks) == frames
-            assert max(tasks) * fft_size <= tdoa._SPECTRUM_BINS // cpus
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_short_clip_gets_one_task_per_worker(self, calls, monkeypatch,
@@ -551,6 +551,6 @@ class TestEvenSplit:
         clip = _delayed_noise_clip(+1, seconds=12.0)
         assert extract_tdoa(clip, "tdoa3").frame_count == 599
         sizes = _task_frames(calls)
-        assert sorted(sizes[8192]) == [99] + [100] * 5      # 480 ms
-        assert sorted(sizes[4096]) == [149] + [150] * 3     # 240 ms
-        assert sorted(sizes[2048]) == [299, 300]            # 120 ms
+        assert sorted(sizes) == [2048, 4096, 8192]
+        for tasks in sizes.values():
+            assert sorted(tasks) == [299, 300]
