@@ -39,15 +39,19 @@ FFT and the BLAS matmuls release the interpreter lock.  Each window is cut
 into one task per worker, sizes differing by at most one frame, so every
 worker gets the same share.  One budget of frames times FFT size, shared by
 the workers so that peak memory does not grow with the core count, bounds
-memory: a task runs its frames in equal blocks within its worker's share,
-through one pair of spectrum buffers of a block's size.  The delays do not
-depend on the worker count, the split or the blocks.
+memory: a task runs its frames in equal blocks within its worker's share.
+The calling thread allocates the spectra of a call as one array, a pair of
+buffers of the largest block per worker, and lends each running task a
+pair; memory taken once per call, on the caller's heap, is reused by the
+next call without page faults.  The delays do not depend on the worker
+count, the split or the blocks.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -312,29 +316,32 @@ _BLOCK_BINS = 2 ** 20
 
 def _chunk_delays(out: np.ndarray, pair: list[np.ndarray], fft_size: int,
                   plan: tuple[np.ndarray, tuple[_LagBasis, ...], int],
-                  floor: float) -> None:
+                  floor: float, spectra: queue.SimpleQueue) -> None:
     """Fill ``out`` (frames, bands) with the delays of a pair of segment
     matrices (frames, window_length).
 
     ``plan`` is the window's lags and lag bases plus the most frames a
     block may hold.  The frames run in equal blocks, sizes differing by at
-    most one frame.  All blocks are transformed into one pair of buffers:
-    arrays freed and taken again per block cost page faults.  Runs on worker
-    threads, so it must call nothing the benchmark's tracer wraps: its spans
-    assume single-threaded, strictly nested calls.
+    most one frame.  The task borrows one pair of flat spectrum buffers from
+    ``spectra`` and transforms every block into their C-contiguous prefixes.
+    Runs on worker threads, so it must call nothing the benchmark's tracer
+    wraps: its spans assume single-threaded, strictly nested calls.
     """
     offsets, bases, rows = plan
+    bins = fft_size // 2 + 1
     blocks = [np.array_split(a, -(-len(out) // rows)) for a in (out, *pair)]
-    # Two arrays: one of twice the size raised the measured peak memory.
-    spectra = [np.empty((len(blocks[0][0]), fft_size // 2 + 1), complex)
-               for _ in pair]
-    for block_out, *segments in zip(*blocks):
-        bins1, bins2 = (np.fft.rfft(s, n=fft_size, axis=1,
-                                    out=buffer[:len(block_out)])
-                        for s, buffer in zip(segments, spectra))
-        # ``real`` and ``imag`` live in the first spectrum's buffer.
-        real, imag = _phat_cross_spectrum(bins1, bins2, floor)
-        block_out[...] = _band_delays(real, imag, bases, offsets)
+    buffers = spectra.get()
+    try:
+        for block_out, *segments in zip(*blocks):
+            size = len(block_out) * bins
+            bins1, bins2 = (np.fft.rfft(s, n=fft_size, axis=1,
+                                        out=buffer[:size].reshape(-1, bins))
+                            for s, buffer in zip(segments, buffers))
+            # ``real`` and ``imag`` live in the first spectrum's buffer.
+            real, imag = _phat_cross_spectrum(bins1, bins2, floor)
+            block_out[...] = _band_delays(real, imag, bases, offsets)
+    finally:
+        spectra.put(buffers)
 
 
 def extract_tdoa(clip: AudioClip, variant: str = "tdoa",
@@ -372,8 +379,17 @@ def extract_tdoa(clip: AudioClip, variant: str = "tdoa",
         block_rows = max(1, _BLOCK_BINS // (cpus * fft_size))
         tasks.extend((out, [left, right], fft_size, (*plan, block_rows))
                      for out, left, right in zip(*splits) if len(out))
-    with ThreadPoolExecutor(max_workers=min(cpus, len(tasks))) as pool:
-        futures = [pool.submit(_chunk_delays, *task, config.spectral_floor)
+    # One pair of buffers of the largest block per worker, lent to each task
+    # while it runs, so a task never waits for one.
+    workers = min(cpus, len(tasks))
+    largest = max(min(len(out), rows) * (fft_size // 2 + 1)
+                  for out, _, fft_size, (_, _, rows) in tasks)
+    spectra = queue.SimpleQueue()
+    for buffers in np.empty((workers, 2, largest), complex):
+        spectra.put(buffers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_chunk_delays, *task, config.spectral_floor,
+                               spectra)
                    for task in tasks]
         for future in futures:
             future.result()

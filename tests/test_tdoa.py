@@ -501,7 +501,7 @@ def _task_frames(calls):
     """Frame counts of the recorded ``_chunk_delays`` tasks, per FFT size
     (one FFT size per analysis window)."""
     sizes = {}
-    for out, _, fft_size, _, _ in calls:
+    for out, _, fft_size, *_ in calls:
         sizes.setdefault(fft_size, []).append(len(out))
     return sizes
 
