@@ -130,11 +130,8 @@ class RunConfig:
             grid=self.feature_config().grid)
 
     def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
-        for key, value in payload.items():
-            if isinstance(value, tuple):
-                payload[key] = list(value)
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(dataclasses.asdict(self), indent=2,
+                          sort_keys=True) + "\n"
 
 
 _TUPLE_FIELDS = {"contexts": str, "combinations": str, "hidden_sizes": int,

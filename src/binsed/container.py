@@ -1,20 +1,19 @@
-"""Binary feature container.
+"""Binary records: the one on-disk format of features, targets and checkpoints.
 
-Little-endian layout:
+Little-endian layout: a 4-byte magic, a uint32 version, a uint32 header
+length, a sorted-key UTF-8 JSON header whose "arrays" entry lists each array
+as [name, dtype, shape] in write order, then the arrays' raw C-order bytes.
 
-    magic      4 bytes  b"BSF1"
-    version    uint32   (currently 1)
-    frames     uint32
-    blocks     uint32
-    per block: name_len uint16, name utf-8 bytes, width uint32
-    data       frames * total_width float32, row-major
-
-Event-activity rolls reuse the container with one width-1 block per class,
-so targets and features share one on-disk format.
+A feature container (magic ``BSF1``) has the header
+``{"blocks": [[name, width], ...]}`` and one float32 array, ``values``, of
+shape (frames, total width).  Event-activity rolls reuse it with one width-1
+block per class, so targets and features share one format.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import struct
 
@@ -24,7 +23,8 @@ from .errors import DataError
 from .layout import FeatureLayout, FeatureMatrix
 
 MAGIC = b"BSF1"
-VERSION = 1
+VERSION = 2
+_DTYPES = ("<f4", "<f8")
 
 
 def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
@@ -34,50 +34,86 @@ def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def write_features(path: str | os.PathLike, matrix: FeatureMatrix) -> None:
-    """Serialise a feature matrix; the write is atomic."""
-    parts = [MAGIC,
-             struct.pack("<III", VERSION, matrix.frame_count,
-                         len(matrix.layout.blocks))]
-    for name, width in matrix.layout.blocks:
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<I", width))
-    parts.append(np.ascontiguousarray(matrix.values,
-                                      dtype="<f4").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+def write_record(path: str | os.PathLike, magic: bytes, version: int,
+                 header: dict, arrays: dict) -> None:
+    """Write a record atomically and byte-deterministically.
+
+    ``arrays`` maps each name to an ``(array, dtype)`` pair, in write order.
+    """
+    flat = {name: np.asarray(values, dtype=dtype)
+            for name, (values, dtype) in arrays.items()}
+    text = json.dumps({**header, "arrays": [
+        [name, values.dtype.str, list(values.shape)]
+        for name, values in flat.items()]}, sort_keys=True).encode("utf-8")
+    atomic_write_bytes(path, b"".join([
+        magic, struct.pack("<II", version, len(text)), text,
+        *(values.tobytes() for values in flat.values())]))
 
 
-def read_features(path: str | os.PathLike) -> FeatureMatrix:
-    """Read a feature container back into a FeatureMatrix (float32 precision)."""
+def read_record(path: str | os.PathLike, magic: bytes, version: int,
+                what: str, advice: str) -> tuple[dict, dict]:
+    """The header (without "arrays") and the named arrays of a record.
+
+    The arrays are read-only views of the file's bytes.  An unreadable file,
+    another magic or version, a malformed header, and a file shorter or longer
+    than its arrays are each a DataError naming ``what``.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
-        raise DataError(f"cannot read feature container: {exc}") from exc
-    if len(blob) < 16 or blob[:4] != MAGIC:
-        raise DataError(f"not a feature container: {path}")
-    version, frames, block_count = struct.unpack("<III", blob[4:16])
-    if version != VERSION:
-        raise DataError(f"unsupported feature container version {version}")
-    offset = 16
-    blocks = []
-    for _ in range(block_count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (width,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        blocks.append((name, width))
-    layout = FeatureLayout(tuple(blocks))
-    expected = frames * layout.width * 4
-    if len(blob) - offset != expected:
-        raise DataError(f"feature container payload truncated: {path}")
-    values = np.frombuffer(blob, dtype="<f4", count=frames * layout.width,
-                           offset=offset).reshape(frames, layout.width)
-    return FeatureMatrix(values=values.astype(np.float64), layout=layout)
+        raise DataError(f"cannot read {what}: {exc}") from exc
+    if blob[:4] != magic:
+        raise DataError(f"not a {what}: {path}")
+    if len(blob) < 12:
+        raise DataError(f"{what} truncated: {path}")
+    found, length = struct.unpack_from("<II", blob, 4)
+    if found != version:
+        raise DataError(f"unsupported {what} version {found} in {path}; "
+                        f"{advice}")
+    offset = 12 + length
+    if offset > len(blob):
+        raise DataError(f"{what} truncated: {path}")
+    try:
+        header = json.loads(blob[12:offset])
+        specs = [(name, dtype, tuple(shape))
+                 for name, dtype, shape in header.pop("arrays")]
+        for name, dtype, shape in specs:
+            if (not isinstance(name, str) or dtype not in _DTYPES
+                    or not all(type(n) is int and n >= 0 for n in shape)):
+                raise ValueError(f"array {name!r}: {dtype!r} {shape!r}")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {what} header in {path}") from exc
+    arrays = {}
+    for name, dtype, shape in specs:
+        count = math.prod(shape)
+        end = offset + count * np.dtype(dtype).itemsize
+        if end > len(blob):
+            raise DataError(f"{what} truncated: {path}")
+        arrays[name] = np.frombuffer(blob, dtype=dtype, count=count,
+                                     offset=offset).reshape(shape)
+        offset = end
+    if offset != len(blob):
+        raise DataError(f"{what} has bytes past its arrays: {path}")
+    return header, arrays
+
+
+def write_features(path: str | os.PathLike, matrix: FeatureMatrix) -> None:
+    """Serialise a feature matrix; the write is atomic."""
+    write_record(path, MAGIC, VERSION, {"blocks": matrix.layout.blocks},
+                 {"values": (matrix.values, "<f4")})
+
+
+def read_features(path: str | os.PathLike) -> FeatureMatrix:
+    """Read a feature container back into a FeatureMatrix (float32 precision)."""
+    header, arrays = read_record(path, MAGIC, VERSION, "feature container",
+                                 "re-run the extract command")
+    try:
+        return FeatureMatrix(values=arrays["values"], layout=FeatureLayout(
+            tuple(map(tuple, header["blocks"]))))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed feature container in {path}: "
+                        f"{exc}") from exc
 
 
 def export_csv(path: str | os.PathLike, matrix: FeatureMatrix) -> None:

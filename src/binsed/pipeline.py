@@ -187,15 +187,21 @@ def read_context_features(config: RunConfig, context: str) -> ContextData:
     if not os.path.isfile(manifest_path):
         raise DataError(f"no extracted features for context {context!r} under "
                         f"{directory}; run the extract command first")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if "features" not in manifest:
-        raise DataError(f"{manifest_path} records no feature settings; "
-                        "re-run the extract command")
-    class_order = tuple(manifest["class_order"])
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        class_order = tuple(manifest["class_order"])
+        recordings = list(manifest["recordings"])
+        labels = {name: tuple(values)
+                  for name, values in manifest["labels"].items()}
+        feature_config = feature_config_from_json(manifest["features"])
+        context, combination = manifest["context"], manifest["combination"]
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed manifest {manifest_path} ({exc!r}); "
+                        "re-run the extract command") from exc
     features = {}
     rolls = {}
-    for name in manifest["recordings"]:
+    for name in recordings:
         matrix = read_features(os.path.join(directory, f"{name}.feat"))
         targets = read_features(os.path.join(directory, f"{name}.targets"))
         if targets.layout.block_names != class_order:
@@ -204,14 +210,10 @@ def read_context_features(config: RunConfig, context: str) -> ContextData:
         features[name] = matrix
         rolls[name] = EventRoll(activity=targets.values.astype(np.uint8),
                                 class_order=class_order)
-    labels = {name: tuple(values)
-              for name, values in manifest.get("labels", {}).items()}
-    return ContextData(context=manifest["context"],
-                       combination=manifest["combination"],
-                       class_order=class_order,
-                       recordings=list(manifest["recordings"]),
+    return ContextData(context=context, combination=combination,
+                       class_order=class_order, recordings=recordings,
                        features=features, rolls=rolls, labels=labels,
-                       feature_config=feature_config_from_json(manifest["features"]))
+                       feature_config=feature_config)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ import pytest
 
 from binsed.audio import FrameGrid
 from binsed.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from binsed.container import write_features
 from binsed.errors import DataError
 from binsed.events import EventRoll
 from binsed.features import FeatureConfig
 from binsed.folds import FoldSplit
-from binsed.layout import FeatureLayout
+from binsed.layout import FeatureLayout, FeatureMatrix
 from binsed.tdoa import TdoaConfig
 from binsed.training import (Scaler, TrainConfig, fit_scaler,
                              init_train_state, run_training, split_sequences)
@@ -21,6 +22,17 @@ SPLIT = FoldSplit(fold_index=1, train=("r2", "r0"), validation=("r3",),
 # Non-default values in every nested config and tuple.
 FEATURES = FeatureConfig(grid=FrameGrid(hop_length_ms=10.0), pitch_f_min=80.0,
                          tdoa=TdoaConfig(window_lengths_ms=(100.0, 300.0)))
+
+
+def _edit_header(path, edit):
+    """Rewrite a record's JSON header through ``edit``, keeping its arrays."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + length])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
+                     + blob[12 + length:])
 
 
 def _record(state, scaler):
@@ -186,7 +198,7 @@ class TestCorruption:
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_version_is_refused_with_advice_to_retrain(self, tmp_path,
                                                              version):
         path = tmp_path / f"v{version}.ckpt"
@@ -204,21 +216,59 @@ class TestCorruption:
         version, length = struct.unpack_from("<II", blob, 4)
         text = blob[12:12 + length].decode("utf-8")
         header = json.loads(text)
-        assert version == 4
+        assert version == 5
         assert text == json.dumps(header, sort_keys=True)
-        assert sorted(header) == ["class_order", "combination", "context",
-                                  "dtype", "features", "layer_sizes",
-                                  "layout", "seed", "sequence_length",
-                                  "split", "threshold"]
-        assert header["dtype"] == "<f4"
+        assert sorted(header) == [
+            "adam_step", "arrays", "best_validation_er", "class_order",
+            "combination", "context", "epoch", "epochs_since_improvement",
+            "features", "layer_sizes", "layout", "rng", "seed",
+            "sequence_length", "split", "stopped", "threshold"]
+        assert [(name, dtype) for name, dtype, _ in header["arrays"]] == [
+            ("scaler_mean", "<f8"), ("scaler_std", "<f8"), ("params", "<f4"),
+            ("adam_first", "<f8"), ("adam_second", "<f8"),
+            ("history", "<f8"), ("best_params", "<f4")]
+        assert header["arrays"][5][2] == [2, 4]
         assert header["split"]["test"] == ["r1"]
+        assert header["rng"]["bit_generator"] == "PCG64"
 
-    def test_unknown_parameter_dtype(self, tmp_path):
-        path = tmp_path / "f16.ckpt"
+    @pytest.mark.parametrize("dtype", ["<f2", "|O"])
+    def test_unknown_parameter_dtype(self, tmp_path, dtype):
+        path = tmp_path / "odd.ckpt"
         save_checkpoint(path, _checkpoint())
-        blob = path.read_bytes().replace(b'"dtype": "<f4"', b'"dtype": "<f2"')
-        path.write_bytes(blob)
+
+        def retype(header):
+            assert header["arrays"][2][0] == "params"
+            header["arrays"][2][1] = dtype
+        _edit_header(path, retype)
         with pytest.raises(DataError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+
+    def test_bytes_past_the_arrays(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(path, _checkpoint())
+        path.write_bytes(path.read_bytes() + b"\x00" * 7)
+        with pytest.raises(DataError, match="past its arrays"):
+            load_checkpoint(path)
+
+    def test_huge_declared_shape_is_truncated_before_allocating(self,
+                                                                 tmp_path):
+        path = tmp_path / "huge.ckpt"
+        save_checkpoint(path, _checkpoint())
+
+        # 2**62 float32 values: a reader that allocated them before checking
+        # the file's length would fail with MemoryError, not DataError.
+        def enlarge(header):
+            assert header["arrays"][2][0] == "params"
+            header["arrays"][2][2] = [2 ** 62]
+        _edit_header(path, enlarge)
+        with pytest.raises(DataError, match="checkpoint truncated"):
+            load_checkpoint(path)
+
+    def test_feature_container_is_not_a_checkpoint(self, tmp_path):
+        path = tmp_path / "clip.feat"
+        write_features(path, FeatureMatrix(values=np.ones((3, 2)),
+                                           layout=LAYOUT))
+        with pytest.raises(DataError, match="not a checkpoint"):
             load_checkpoint(path)
 
     def test_malformed_header(self, tmp_path):

@@ -525,6 +525,26 @@ class TestRunRecord:
                      "--out", str(out)]) == 2
         assert "re-run the extract command" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["no_labels", "no_recordings",
+                                        "truncated"])
+    def test_malformed_manifest_is_refused(self, workspace, capsys, damage):
+        out = _trained_copy(workspace, f"out_manifest_{damage}")
+        manifest_path = out / "features" / "park" / "manifest.json"
+        text = manifest_path.read_text()
+        if damage == "truncated":
+            text = text[: len(text) // 2]
+        else:
+            manifest = json.loads(text)
+            del manifest[damage.removeprefix("no_")]
+            text = json.dumps(manifest)
+        manifest_path.write_text(text)
+        capsys.readouterr()
+        assert main(["train", "--config", str(workspace / "run.json"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed manifest {manifest_path}" in err
+        assert "Traceback" not in err
+
     def test_detect_refuses_a_version_1_checkpoint(self, workspace, capsys):
         blob = bytearray((workspace / "out" / "models" / "park" /
                           "fold0.ckpt").read_bytes())

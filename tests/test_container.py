@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from binsed.container import export_csv, read_features, write_features
+from binsed.container import (MAGIC, VERSION, export_csv, read_features,
+                              read_record, write_features, write_record)
 from binsed.errors import DataError
 from binsed.layout import FeatureLayout, FeatureMatrix
 
@@ -86,10 +90,74 @@ class TestCorruption:
         path = tmp_path / "clip.feat"
         write_features(path, fm)
         blob = bytearray(path.read_bytes())
-        blob[3] = ord("9")
+        blob[4:8] = struct.pack("<I", 9)
         path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="version"):
+        with pytest.raises(DataError,
+                           match="unsupported feature container version 9 "):
             read_features(path)
+
+    def test_version_1_is_refused_with_advice_to_extract_again(self,
+                                                               tmp_path):
+        path = tmp_path / "old.feat"
+        write_features(path, _matrix())
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="version 1 .*re-run the extract"):
+            read_features(path)
+
+    def test_bytes_past_the_arrays(self, tmp_path):
+        path = tmp_path / "long.feat"
+        write_features(path, _matrix())
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(DataError, match="past its arrays"):
+            read_features(path)
+
+    def test_checkpoint_is_not_a_feature_container(self, tmp_path):
+        path = tmp_path / "fold0.ckpt"
+        write_record(path, b"BSC1", 5, {}, {"params": (np.ones(3), "<f4")})
+        with pytest.raises(DataError, match="not a feature container"):
+            read_features(path)
+
+    def test_blocks_that_do_not_match_the_values(self, tmp_path):
+        path = tmp_path / "odd.feat"
+        write_record(path, MAGIC, VERSION, {"blocks": [["a", 5]]},
+                     {"values": (np.ones((2, 4)), "<f4")})
+        with pytest.raises(DataError, match="malformed feature container"):
+            read_features(path)
+
+
+class TestRecord:
+    def test_round_trip_keeps_names_order_dtypes_and_shapes(self, tmp_path):
+        path = tmp_path / "x.rec"
+        first = np.arange(6, dtype=np.float64).reshape(2, 3) / 3
+        write_record(path, b"TEST", 3, {"note": "x"},
+                     {"b": (first, "<f8"), "a": ([], "<f4"),
+                      "c": (np.float64(1.5), "<f4")})
+        header, arrays = read_record(path, b"TEST", 3, "test record", "")
+        assert header == {"note": "x"}
+        assert list(arrays) == ["b", "a", "c"]
+        assert np.array_equal(arrays["b"], first)
+        assert arrays["a"].shape == (0,) and arrays["a"].dtype == np.float32
+        assert arrays["c"].shape == () and arrays["c"] == 1.5
+        assert not arrays["b"].flags.writeable  # views, not copies
+
+    @pytest.mark.parametrize("spec", [
+        ["a", "|O", [2]], ["a", "<f2", [2]], ["a", "<f8", [-1]],
+        ["a", "<f8", [1.5]], ["a", "<f8", "2"], [1, "<f8", [2]], ["a"]])
+    def test_malformed_array_entry(self, tmp_path, spec):
+        path = tmp_path / "x.rec"
+        text = json.dumps({"arrays": [spec]}).encode("utf-8")
+        path.write_bytes(b"TEST" + struct.pack("<II", 1, len(text)) + text
+                         + b"\x00" * 16)
+        with pytest.raises(DataError, match="malformed test record header"):
+            read_record(path, b"TEST", 1, "test record", "")
+
+    def test_header_longer_than_the_file(self, tmp_path):
+        path = tmp_path / "x.rec"
+        path.write_bytes(b"TEST" + struct.pack("<II", 1, 1000) + b"{}")
+        with pytest.raises(DataError, match="test record truncated"):
+            read_record(path, b"TEST", 1, "test record", "")
 
 
 class TestCsvExport:
