@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import lstm
 from .container import read_record, write_record
 from .errors import DataError
 from .features import FeatureConfig, feature_config_from_json, feature_config_to_json
@@ -103,7 +104,7 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
             history=[EpochRecord(int(epoch), loss, er, f) for epoch, loss, er, f
                      in arrays["history"].tolist()],
             **{key: header[key] for key in _COUNTERS})
-        return Checkpoint(
+        checkpoint = Checkpoint(
             state=state,
             scaler=Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"]),
             class_order=tuple(header["class_order"]),
@@ -113,5 +114,29 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
                                for key, value in header["split"].items()}),
             feature_config=feature_config_from_json(header["features"]),
             **{key: header[key] for key in _SETTINGS})
+        _check_sizes(path, checkpoint, arrays)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint header in {path}") from exc
+    return checkpoint
+
+
+def _check_sizes(path: str | os.PathLike, checkpoint: Checkpoint,
+                 arrays: dict[str, np.ndarray]) -> None:
+    """Each array must have the shape the header's layer sizes, layout and
+    class order give it, or the model cannot run on its own features."""
+    sizes = checkpoint.state.layer_sizes
+    width = checkpoint.layout.width
+    if len(sizes) < 2 or sizes[0] != width \
+            or sizes[-1] != len(checkpoint.class_order):
+        raise DataError(f"checkpoint layer sizes {sizes} do not match its "
+                        f"layout width {width} and "
+                        f"{len(checkpoint.class_order)} classes: {path}")
+    vector = (lstm._vector_size(sizes),)
+    shapes = {"params": vector, "best_params": vector, "adam_first": vector,
+              "adam_second": vector, "scaler_mean": (width,),
+              "scaler_std": (width,)}
+    for name, want in shapes.items():
+        if name in arrays and arrays[name].shape != want:
+            raise DataError(f"checkpoint array {name!r} has shape "
+                            f"{arrays[name].shape}, not {want} as its header "
+                            f"gives: {path}; retrain it with the train command")

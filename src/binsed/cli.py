@@ -17,6 +17,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -27,10 +28,11 @@ from .container import atomic_write_bytes
 from .errors import DataError, TrainingError, UsageError
 from .events import roll_to_events
 from .features import ABLATION_COMBINATIONS, assemble_features
+from .layout import FeatureMatrix
 from .metrics import MetricReport, format_results_table
 from .pipeline import (ContextData, ablation_config, ablation_tokens,
-                       combination_data, context_folds, evaluate_context,
-                       extract_context, read_context_features, train_runs,
+                       context_folds, evaluate_context, extract_context,
+                       read_context_features, select_combination, train_runs,
                        write_context_features)
 from .synth import (SynthClass, generate_dataset, parse_scene_plan,
                     synthesize_scene, write_scene)
@@ -126,7 +128,7 @@ def _read_extracted(args: argparse.Namespace
 
 
 def _train(config: RunConfig, runs: list[tuple[RunConfig, ContextData]]
-           ) -> list[list[Checkpoint]]:
+           ) -> Iterator[Checkpoint]:
     """``train_runs`` on ``runs``, writing the command's config.json once
     every fold's coverage has passed, so a refused run leaves none."""
     for run, data in runs:
@@ -137,20 +139,20 @@ def _train(config: RunConfig, runs: list[tuple[RunConfig, ContextData]]
 
 def cmd_train(args: argparse.Namespace) -> int:
     config, extracted = _read_extracted(args)
-    runs = [(config, data) for data in extracted]
-    for data, checkpoints in zip(extracted, _train(config, runs)):
-        for checkpoint in checkpoints:
-            state = checkpoint.state
-            print(f"{data.context}: trained fold with best validation ER "
-                  f"{state.best_validation_er:.3f} after {state.epoch} epochs")
+    for checkpoint in _train(config, [(config, data) for data in extracted]):
+        state = checkpoint.state
+        print(f"{checkpoint.context}: trained fold with best validation ER "
+              f"{state.best_validation_er:.3f} after {state.epoch} epochs",
+              flush=True)
     return EXIT_OK
 
 
-def _score(config: RunConfig, data: ContextData) -> tuple[MetricReport, dict]:
-    """A context's report, and its scores as results.json and table.json
-    hold them."""
-    report, per_fold = evaluate_context(config, data)
-    return report, {"combination": data.combination,
+def _score(config: RunConfig, data: ContextData,
+           features: dict[str, FeatureMatrix]) -> tuple[MetricReport, dict]:
+    """A context's report on ``features``, the blocks ``config.features``
+    names, and its scores as results.json and table.json hold them."""
+    report, per_fold = evaluate_context(config, data, features=features)
+    return report, {"combination": config.features,
                     **dataclasses.asdict(report),
                     "per_fold": [dataclasses.asdict(c) for c in per_fold]}
 
@@ -172,7 +174,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = {}
     payload = {}
     for context, data in zip(contexts, extracted):
-        rows[context], payload[context] = _score(config, data)
+        rows[context], payload[context] = _score(config, data, data.features)
     payload["average"] = {
         "error_rate": float(np.mean([rows[c].error_rate for c in contexts])),
         "f_score": float(np.mean([rows[c].f_score for c in contexts])),
@@ -213,13 +215,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                  for c in contexts]
     runs = {(data.context, c): (ablation_config(config, c), data)
             for data in extracted for c in combinations}
-    _train(config, list(runs.values()))
+    for _ in _train(config, list(runs.values())):
+        pass
     rows = {c: {} for c in combinations}
     payload = {c: {} for c in combinations}
     for (context, c), (run, data) in runs.items():
         # One slice at a time: each holds a copy of its features.
         rows[c][context], payload[c][context] = _score(
-            run, combination_data(run, data))
+            run, data, select_combination(data, run.features, run))
     table = format_results_table(rows, contexts)
     _publish(os.path.join(config.out_dir, "ablation"), "table", payload, table)
     return EXIT_OK

@@ -16,7 +16,8 @@ Run artefacts land under the output directory::
     <out>/config.json
 
 ``train_runs`` trains every fold of a ``train`` or ``ablate`` command on one
-pool of forked processes and writes each fold's files in job order.
+pool of forked processes, writes each fold's files in job order and then
+yields its checkpoint, which it keeps no longer than the next fold's.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import glob
 import json
 import os
 import zlib
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,13 +143,6 @@ def select_combination(data: ContextData, combination: str,
     return {name: matrix.select(names) for name, matrix in data.features.items()}
 
 
-def combination_data(config: RunConfig, data: ContextData) -> ContextData:
-    """``data`` holding only the blocks ``config.features`` names, in order."""
-    features = select_combination(data, config.features, config)
-    return dataclasses.replace(data, features=features, combination=";".join(
-        features[data.recordings[0]].layout.block_names))
-
-
 # ---------------------------------------------------------------------------
 # Feature persistence (extract command / train command hand-off)
 
@@ -207,6 +203,11 @@ def read_context_features(config: RunConfig, context: str) -> ContextData:
         if targets.layout.block_names != class_order:
             raise DataError(f"target container for {name!r} does not match "
                             "the manifest class order")
+        if matrix.frame_count != targets.frame_count:
+            raise DataError(f"recording {name!r} has {matrix.frame_count} "
+                            f"feature frames but {targets.frame_count} target "
+                            f"frames in {directory}; re-run the extract "
+                            "command")
         features[name] = matrix
         rolls[name] = EventRoll(activity=targets.values.astype(np.uint8),
                                 class_order=class_order)
@@ -255,13 +256,14 @@ def context_folds(config: RunConfig, data: ContextData) -> list[FoldSplit]:
 def train_fold(config: RunConfig, data: ContextData, split: FoldSplit,
                features: dict[str, FeatureMatrix] | None = None,
                combination: str | None = None) -> Checkpoint:
-    """Scale, batch and train one fold on data's grid; return its checkpoint."""
-    combination = combination or data.combination
+    """Scale, batch and train one fold on data's grid; return its checkpoint,
+    named and seeded by ``combination`` or else by its blocks' names."""
     features = features or data.features
     train_config = dataclasses.replace(config.train_config(),
                                        grid=data.feature_config.grid)
     scaler = fit_scaler([features[name] for name in split.train])
     layout = features[split.train[0]].layout
+    combination = combination or ";".join(layout.block_names)
     batches = []
     for name in split.train:
         scaled = scaler.transform(features[name].values)
@@ -340,19 +342,21 @@ def _train_job(index: int) -> Checkpoint:
         if _stopped:
             raise TrainingError("stopped because another fold failed")
         config, data, split = _jobs[index]
-        return train_fold(config, combination_data(config, data), split)
+        return train_fold(config, data, split,
+                          select_combination(data, config.features, config))
     finally:
         _training = False
 
 
-def train_runs(runs: list[tuple[RunConfig, ContextData]]) -> list[list[Checkpoint]]:
+def train_runs(runs: list[tuple[RunConfig, ContextData]]) -> Iterator[Checkpoint]:
     """Train and save every fold of each run: a context, trained on the
     combination its config's ``features`` names.  Every fold's coverage is
     checked before anything trains; then all folds train on one pool of
     forked processes, one per CPU up to the job count.  Each draws from its
     own ``fold_seed``, so the results do not depend on the worker count.
-    This process writes each fold's files in job order as its result
-    arrives: when a job raises, the jobs before it are saved, nothing after
+    Yields each fold's checkpoint in job order once its files are written,
+    and holds none past the next yield.  When a job raises, or the
+    caller closes the generator, the jobs before it are saved, nothing after
     them is, the folds still training are stopped and the rest cancelled.
     """
     # Imported here, because they add about 1.3 MB to the peak memory of
@@ -361,11 +365,8 @@ def train_runs(runs: list[tuple[RunConfig, ContextData]]) -> list[list[Checkpoin
     import signal
     from concurrent.futures import ProcessPoolExecutor
 
-    folds = [context_folds(config, data) for config, data in runs]
-    _jobs[:] = [(config, data, split)
-                for (config, data), splits in zip(runs, folds)
-                for split in splits]
-    done: list[Checkpoint] = []
+    _jobs[:] = [(config, data, split) for config, data in runs
+                for split in context_folds(config, data)]
     existing = set(multiprocessing.active_children())
     # Forked workers inherit the jobs and BLAS thread settings: the pool forks
     # them all at its first submit, before it starts any thread of its own.
@@ -373,16 +374,17 @@ def train_runs(runs: list[tuple[RunConfig, ContextData]]) -> list[list[Checkpoin
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_fold_worker) as pool:
         try:
-            futures = [pool.submit(_train_job, index)
-                       for index in range(len(_jobs))]
-            for (config, data, split), future in zip(_jobs, futures):
-                checkpoint = future.result()
+            # Popped as read: no checkpoint is held past the next yield.
+            futures = deque(pool.submit(_train_job, index)
+                            for index in range(len(_jobs)))
+            for config, data, split in _jobs:
+                checkpoint = futures.popleft().result()
                 stem = os.path.join(models_dir(config, data.context),
                                     f"fold{split.fold_index}")
                 os.makedirs(os.path.dirname(stem), exist_ok=True)
                 save_checkpoint(stem + ".ckpt", checkpoint)
                 write_training_log(stem + ".log", checkpoint)
-                done.append(checkpoint)
+                yield checkpoint
         except BaseException:
             # Shutting down waits for every fold a worker has taken, which
             # may train for thousands of epochs: stop those folds first.
@@ -392,13 +394,12 @@ def train_runs(runs: list[tuple[RunConfig, ContextData]]) -> list[list[Checkpoin
             raise
         finally:
             _jobs.clear()
-    return [[done.pop(0) for _ in splits] for splits in folds]
 
 
 def train_context(config: RunConfig, data: ContextData) -> list[Checkpoint]:
     """``train_runs`` on the folds of one context, as extracted."""
     run = dataclasses.replace(config, features=data.combination)
-    return train_runs([(run, data)])[0]
+    return list(train_runs([(run, data)]))
 
 
 def evaluate_context(config: RunConfig, data: ContextData,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -163,7 +164,9 @@ class TestResume:
 
         first_half = run_training(fresh_state(), batch, validation, config(3))
         path = tmp_path / "half.ckpt"
-        save_checkpoint(path, _record(first_half, scaler))
+        # The record's class order names the two classes the network has.
+        save_checkpoint(path, dataclasses.replace(_record(first_half, scaler),
+                                                  class_order=roll.class_order))
         resumed = run_training(load_checkpoint(path).state, batch, validation,
                                config(6))
 
@@ -241,6 +244,18 @@ class TestCorruption:
             header["arrays"][2][1] = dtype
         _edit_header(path, retype)
         with pytest.raises(DataError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("class_order", ["dog", "beep"], "layer sizes"),
+        ("layout", [["mel_1", 3]], "layer sizes"),
+        ("layer_sizes", [2, 5, 3], "array 'params' has shape")])
+    def test_header_that_does_not_fit_the_arrays(self, tmp_path, key, value,
+                                                 message):
+        path = tmp_path / "unfit.ckpt"
+        save_checkpoint(path, _checkpoint())
+        _edit_header(path, lambda header: header.update({key: value}))
+        with pytest.raises(DataError, match=message):
             load_checkpoint(path)
 
     def test_bytes_past_the_arrays(self, tmp_path):

@@ -11,10 +11,10 @@ import pytest
 
 import binsed
 from binsed.audio import FrameGrid, decode_wav
-from binsed.checkpoint import Checkpoint, load_checkpoint
+from binsed.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from binsed.cli import main
 from binsed.config import RunConfig, load_config, write_resolved_config
-from binsed.container import read_features
+from binsed.container import read_features, write_features
 from binsed.errors import DataError, UsageError
 from binsed.events import EventRoll, roll_to_events
 from binsed.features import FeatureConfig, assemble_features
@@ -26,7 +26,7 @@ from binsed.pipeline import (ContextData, ablation_tokens,
                              evaluate_context, extract_context, fold_seed,
                              read_context_features, write_context_features)
 from binsed.folds import FoldSplit, make_folds
-from binsed.training import detect_roll, fit_scaler, init_train_state
+from binsed.training import Scaler, detect_roll, fit_scaler, init_train_state
 
 
 class TestLoadConfig:
@@ -556,6 +556,39 @@ class TestRunRecord:
                      str(workspace / "data" / "park" / "audio" /
                          "rec000.wav")]) == 2
         assert "retrain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("short", ["best_params", "scaler"])
+    def test_detect_refuses_arrays_that_do_not_fit_the_header(
+            self, workspace, capsys, short):
+        ckpt = load_checkpoint(workspace / "out" / "models" / "park" /
+                               "fold0.ckpt")
+        if short == "best_params":
+            ckpt.state.best_params_vector = ckpt.state.best_params_vector[:-5]
+        else:
+            ckpt.scaler = Scaler(mean=ckpt.scaler.mean[:-1],
+                                 std=ckpt.scaler.std[:-1])
+        path = workspace / f"short_{short}.ckpt"
+        save_checkpoint(path, ckpt)
+        capsys.readouterr()
+        assert main(["detect", "--checkpoint", str(path), "--audio",
+                     str(workspace / "data" / "park" / "audio" /
+                         "rec000.wav")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "retrain" in err
+
+    def test_features_shorter_than_their_targets_are_refused(self, workspace,
+                                                             capsys):
+        out = _trained_copy(workspace, "out_short_features")
+        path = out / "features" / "park" / "rec000.feat"
+        matrix = read_features(path)
+        write_features(path, FeatureMatrix(values=matrix.values[:-7],
+                                           layout=matrix.layout))
+        capsys.readouterr()
+        assert main(["train", "--config", str(workspace / "run.json"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'rec000'" in err and "re-run the extract command" in err
+        assert not (out / "config.json").exists()
 
     @pytest.mark.parametrize("setting,value,combination", [
         ("hop_length_ms", 10.0, "mel_1;tdoa"),

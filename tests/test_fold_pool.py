@@ -6,12 +6,14 @@ fails in a worker must leave the files the serial order would have left.
 """
 
 import concurrent.futures
+import gc
 import json
 import multiprocessing
 import os
 import shutil
 import signal
 import time
+import weakref
 
 import pytest
 
@@ -191,14 +193,16 @@ class TestOnePool:
         out = contexts / "seeded"
         config = load_config(contexts / "run.json",
                              {"out_dir": str(out), "seed": 11})
-        trained = pipeline.train_runs([(config, d) for d in data])
-        for context, checkpoints in zip(("park", "street"), trained):
-            for checkpoint in checkpoints:
-                assert (checkpoint.seed, checkpoint.context) == (11, context)
-                saved = load_checkpoint(
-                    out / "models" / context
-                    / f"fold{checkpoint.split.fold_index}.ckpt")
-                assert (saved.seed, saved.context) == (11, context)
+        trained = list(pipeline.train_runs([(config, d) for d in data]))
+        # Job order: context, then fold.
+        assert [(c.context, c.split.fold_index) for c in trained] == [
+            (context, k) for context in ("park", "street") for k in range(3)]
+        for checkpoint in trained:
+            assert checkpoint.seed == 11
+            saved = load_checkpoint(
+                out / "models" / checkpoint.context
+                / f"fold{checkpoint.split.fold_index}.ckpt")
+            assert (saved.seed, saved.context) == (11, checkpoint.context)
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_failing_combination_keeps_only_the_earlier_ones(
@@ -316,7 +320,7 @@ class TestStoppedFolds:
         the rest of the message."""
         _force_cpus(monkeypatch, 3)
 
-        def train_fold(config, data, split):
+        def train_fold(config, data, split, features=None, combination=None):
             if split.fold_index == 1:
                 time.sleep(0.03)
                 raise DataError("fold 1 broke")
@@ -348,6 +352,39 @@ class TestStoppedFolds:
             signal.signal(signal.SIGALRM, previous)
 
 
+class TestHandOff:
+    """train_runs hands each fold over once its files are written and keeps
+    none of them after that."""
+
+    def test_a_dropped_checkpoint_is_freed_by_the_next_fold(self, corpus):
+        data = pipeline.read_context_features(
+            _config(corpus, corpus / "extracted"), "park")
+        refs = []
+        freed = []
+        for checkpoint in pipeline.train_runs(
+                [(_config(corpus, corpus / "handed"), data)]):
+            refs.append(weakref.ref(checkpoint))
+            del checkpoint
+            gc.collect()
+            freed.append([ref() is None for ref in refs])
+        # The generator holds the fold it yielded last, and no earlier one.
+        assert freed == [[False], [True, False], [True, True, False]]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_closing_stops_the_remaining_folds(self, corpus, monkeypatch,
+                                               cpus):
+        _force_cpus(monkeypatch, cpus)
+        data = pipeline.read_context_features(
+            _config(corpus, corpus / "extracted"), "park")
+        out = corpus / f"closed{cpus}"
+        trained = pipeline.train_runs([(_config(corpus, out), data)])
+        assert next(trained).split.fold_index == 0
+        trained.close()
+        assert multiprocessing.active_children() == []
+        assert pipeline._jobs == []
+        assert sorted(_model_files(out)) == ["fold0.ckpt", "fold0.log"]
+
+
 class TestTrainCombination:
     def test_conflicting_features_refused(self, corpus, capsys):
         # train takes no --features: the extraction decided them.
@@ -360,6 +397,20 @@ class TestTrainCombination:
         assert "--features" in capsys.readouterr().err
         assert not (out / "config.json").exists()
         assert not (out / "models").exists()
+
+    def test_a_spaced_combination_trains_as_its_blocks(self, corpus):
+        data = pipeline.read_context_features(
+            _config(corpus, corpus / "extracted"), "park")
+        trees = []
+        for name, features in (("tight", "mel_1;tdoa"),
+                               ("spaced", " mel_1 ; tdoa")):
+            out = corpus / f"combination_{name}"
+            config = load_config(corpus / "run.json",
+                                 {"out_dir": str(out), "features": features})
+            trained = pipeline.train_runs([(config, data)])
+            assert [c.combination for c in trained] == ["mel_1;tdoa"] * 3
+            trees.append(_model_files(out))
+        assert trees[0] == trees[1] and len(trees[0]) == 6
 
     def test_config_records_the_extracted_combination(self, corpus):
         # The config resolves to the default mel_2;tdoa;pitch_2, but the
