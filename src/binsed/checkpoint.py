@@ -25,7 +25,8 @@ import numpy as np
 from . import lstm
 from .container import read_record, write_record
 from .errors import DataError
-from .features import FeatureConfig, feature_config_from_json, feature_config_to_json
+from .features import (FeatureConfig, feature_config_from_json,
+                       feature_config_to_json, parse_combination)
 from .folds import FoldSplit
 from .layout import FeatureLayout
 from .training import AdamState, EpochRecord, Scaler, TrainState
@@ -114,16 +115,24 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
                                for key, value in header["split"].items()}),
             feature_config=feature_config_from_json(header["features"]),
             **{key: header[key] for key in _SETTINGS})
-        _check_sizes(path, checkpoint, arrays)
+        _check_layout(path, checkpoint, arrays)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed checkpoint header in {path}") from exc
+        raise DataError(f"malformed checkpoint header in {path}; retrain it "
+                        "with the train command") from exc
     return checkpoint
 
 
-def _check_sizes(path: str | os.PathLike, checkpoint: Checkpoint,
-                 arrays: dict[str, np.ndarray]) -> None:
-    """Each array must have the shape the header's layer sizes, layout and
-    class order give it, or the model cannot run on its own features."""
+def _check_layout(path: str | os.PathLike, checkpoint: Checkpoint,
+                  arrays: dict[str, np.ndarray]) -> None:
+    """The combination must name the layout's blocks, in order, and each
+    array must have the shape the header's layer sizes, layout and class
+    order give it, or the model cannot run on its own features."""
+    tokens = parse_combination(checkpoint.combination)   # ValueError: malformed
+    if tuple(spec.token for spec in tokens) != checkpoint.layout.block_names:
+        raise DataError(f"checkpoint combination {checkpoint.combination!r} "
+                        "does not name its layout blocks "
+                        f"{checkpoint.layout.block_names}: {path}; retrain it "
+                        "with the train command")
     sizes = checkpoint.state.layer_sizes
     width = checkpoint.layout.width
     if len(sizes) < 2 or sizes[0] != width \

@@ -17,12 +17,11 @@ import dataclasses
 import json
 import os
 import sys
-from collections.abc import Iterator
 
 import numpy as np
 
 from .audio import decode_wav
-from .checkpoint import Checkpoint, load_checkpoint
+from .checkpoint import load_checkpoint
 from .config import RunConfig, load_config, write_resolved_config
 from .container import atomic_write_bytes
 from .errors import DataError, TrainingError, UsageError
@@ -31,7 +30,7 @@ from .features import ABLATION_COMBINATIONS, assemble_features
 from .layout import FeatureMatrix
 from .metrics import MetricReport, format_results_table
 from .pipeline import (ContextData, ablation_config, ablation_tokens,
-                       context_folds, evaluate_context, extract_context,
+                       evaluate_context, extract_context,
                        read_context_features, select_combination, train_runs,
                        write_context_features)
 from .synth import (SynthClass, generate_dataset, parse_scene_plan,
@@ -127,19 +126,11 @@ def _read_extracted(args: argparse.Namespace
             extracted)
 
 
-def _train(config: RunConfig, runs: list[tuple[RunConfig, ContextData]]
-           ) -> Iterator[Checkpoint]:
-    """``train_runs`` on ``runs``, writing the command's config.json once
-    every fold's coverage has passed, so a refused run leaves none."""
-    for run, data in runs:
-        context_folds(run, data)
-    write_resolved_config(config.out_dir, config)
-    return train_runs(runs)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     config, extracted = _read_extracted(args)
-    for checkpoint in _train(config, [(config, data) for data in extracted]):
+    trained = train_runs([(config, data) for data in extracted])
+    write_resolved_config(config.out_dir, config)
+    for checkpoint in trained:
         state = checkpoint.state
         print(f"{checkpoint.context}: trained fold with best validation ER "
               f"{state.best_validation_er:.3f} after {state.epoch} epochs",
@@ -215,7 +206,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                  for c in contexts]
     runs = {(data.context, c): (ablation_config(config, c), data)
             for data in extracted for c in combinations}
-    for _ in _train(config, list(runs.values())):
+    trained = train_runs(list(runs.values()))
+    write_resolved_config(config.out_dir, config)
+    for _ in trained:
         pass
     rows = {c: {} for c in combinations}
     payload = {c: {} for c in combinations}

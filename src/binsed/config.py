@@ -1,9 +1,14 @@
 """Run configuration: JSON file plus command-line overrides.
 
-A config file holds a flat JSON object whose keys match RunConfig fields.
-Command-line flags override file values; every command serialises the fully
-resolved configuration into its output directory so runs are reproducible
-from the artefacts alone.
+A config file holds a flat JSON object whose keys are RunConfig fields.
+Each field's annotation and default are the one statement of its setting:
+``load_config`` converts and checks every value by the annotation, a setting
+shared with TrainConfig, FeatureConfig, TdoaConfig or FrameGrid takes its
+default from that class, and ``_FEATURE_KEYS`` maps each flat feature key to
+its place in FeatureConfig for both directions.  ``RunConfig.validate`` then
+checks the ranges.  Command-line flags override file values; every command
+serialises the fully resolved configuration into its output directory so
+runs are reproducible from the artefacts alone.
 """
 
 from __future__ import annotations
@@ -11,12 +16,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 
 from .audio import FrameGrid
 from .container import atomic_write_bytes
 from .errors import UsageError
-from .features import FeatureConfig, parse_combination
+from .features import (FeatureConfig, feature_config_from_json,
+                       feature_config_to_json, parse_combination)
 from .tdoa import TdoaConfig
 from .training import TrainConfig
 
@@ -31,30 +38,30 @@ class RunConfig:
     seed: int = 41
     fold_count: int = 4
     validation_fraction: float = 0.2
-    threshold: float = 0.5
-    hidden_sizes: tuple[int, ...] = (32, 32)
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    gradient_clip: float = 5.0
-    batch_size: int = 32
-    max_epochs: int = 2000
-    patience: int = 100
-    sequence_length: int = 25
-    block_mix_ratio: float = 1.0
+    threshold: float = TrainConfig.threshold
+    hidden_sizes: tuple[int, ...] = TrainConfig.hidden_sizes
+    learning_rate: float = TrainConfig.learning_rate
+    beta1: float = TrainConfig.beta1
+    beta2: float = TrainConfig.beta2
+    adam_epsilon: float = TrainConfig.adam_epsilon
+    gradient_clip: float = TrainConfig.gradient_clip
+    batch_size: int = TrainConfig.batch_size
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
+    sequence_length: int = TrainConfig.sequence_length
+    block_mix_ratio: float = TrainConfig.block_mix_ratio
     macro_average: bool = False
     export_csv: bool = False
-    mel_bands: int = 40
-    log_floor: float = 1e-10
-    pitch_f_min: float = 100.0
-    pitch_f_max: float = 4000.0
-    pitch_threshold: float = 0.1
-    tdoa_bands: int = 5
-    tdoa_windows_ms: tuple[float, ...] = (120.0, 240.0, 480.0)
-    mic_spacing_m: float = 0.20
-    frame_length_ms: float = 40.0
-    hop_length_ms: float = 20.0
+    mel_bands: int = FeatureConfig.mel_bands
+    log_floor: float = FeatureConfig.log_floor
+    pitch_f_min: float = FeatureConfig.pitch_f_min
+    pitch_f_max: float = FeatureConfig.pitch_f_max
+    pitch_threshold: float = FeatureConfig.pitch_threshold
+    tdoa_bands: int = TdoaConfig.band_count
+    tdoa_windows_ms: tuple[float, ...] = TdoaConfig.window_lengths_ms
+    mic_spacing_m: float = TdoaConfig.mic_spacing_m
+    frame_length_ms: float = FrameGrid.frame_length_ms
+    hop_length_ms: float = FrameGrid.hop_length_ms
     # synth command only
     synth_recordings: int = 8
     synth_duration: float = 30.0
@@ -73,69 +80,89 @@ class RunConfig:
                              "keeps a non-empty train group")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise UsageError("validation_fraction must be in [0, 1)")
-        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise UsageError("hidden_sizes must be positive")
-        if self.sequence_length < 1:
-            raise UsageError("sequence_length must be positive")
-        if self.batch_size < 1:
-            raise UsageError("batch_size must be positive")
-        if self.max_epochs < 1:
-            raise UsageError("max_epochs must be positive")
         if self.patience < 0:
             raise UsageError("patience must be non-negative")
         if not 0.0 < self.threshold < 1.0:
             raise UsageError("threshold must lie strictly between 0 and 1")
         if self.block_mix_ratio < 0:
             raise UsageError("block_mix_ratio must be non-negative")
+        for key in ("sequence_length", "batch_size", "max_epochs", "mel_bands",
+                    "tdoa_bands", "frame_length_ms", "hop_length_ms",
+                    "mic_spacing_m", "log_floor"):
+            if not getattr(self, key) > 0:
+                raise UsageError(f"{key} must be positive")
+        for key in ("hidden_sizes", "tdoa_windows_ms"):
+            values = getattr(self, key)
+            if not values or not all(value > 0 for value in values):
+                raise UsageError(f"{key} must hold positive values")
+        if not 0 < self.pitch_f_min < self.pitch_f_max:
+            raise UsageError("pitch_f_min must lie between 0 and pitch_f_max")
         return self
 
     def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            grid=FrameGrid(frame_length_ms=self.frame_length_ms,
-                           hop_length_ms=self.hop_length_ms),
-            mel_bands=self.mel_bands,
-            log_floor=self.log_floor,
-            pitch_f_min=self.pitch_f_min,
-            pitch_f_max=self.pitch_f_max,
-            pitch_threshold=self.pitch_threshold,
-            tdoa=TdoaConfig(band_count=self.tdoa_bands,
-                            window_lengths_ms=tuple(self.tdoa_windows_ms),
-                            mic_spacing_m=self.mic_spacing_m))
+        payload: dict = {"grid": {}, "tdoa": {}}
+        for key, (part, name) in _FEATURE_KEYS.items():
+            (payload[part] if part else payload)[name] = getattr(self, key)
+        return feature_config_from_json(payload)
 
     def with_feature_config(self, features: FeatureConfig) -> "RunConfig":
         """This configuration with ``features``: feature_config's inverse."""
-        grid, tdoa = features.grid, features.tdoa
-        return dataclasses.replace(
-            self, frame_length_ms=grid.frame_length_ms,
-            hop_length_ms=grid.hop_length_ms, mel_bands=features.mel_bands,
-            log_floor=features.log_floor, pitch_f_min=features.pitch_f_min,
-            pitch_f_max=features.pitch_f_max,
-            pitch_threshold=features.pitch_threshold,
-            tdoa_bands=tdoa.band_count, mic_spacing_m=tdoa.mic_spacing_m,
-            tdoa_windows_ms=tuple(tdoa.window_lengths_ms))
+        payload = feature_config_to_json(features)
+        return dataclasses.replace(self, **{
+            key: (payload[part] if part else payload)[name]
+            for key, (part, name) in _FEATURE_KEYS.items()})
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            hidden_sizes=tuple(self.hidden_sizes),
-            learning_rate=self.learning_rate,
-            beta1=self.beta1, beta2=self.beta2,
-            adam_epsilon=self.adam_epsilon,
-            gradient_clip=self.gradient_clip,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            sequence_length=self.sequence_length,
-            block_mix_ratio=self.block_mix_ratio,
-            threshold=self.threshold,
-            grid=self.feature_config().grid)
+        """The TrainConfig of the fields it shares with this one by name."""
+        return TrainConfig(grid=self.feature_config().grid, **{
+            f.name: getattr(self, f.name) for f in dataclasses.fields(TrainConfig)
+            if f.name in _TYPES})
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2,
                           sort_keys=True) + "\n"
 
 
-_TUPLE_FIELDS = {"contexts": str, "combinations": str, "hidden_sizes": int,
-                 "tdoa_windows_ms": float}
+# Each flat feature key: its FeatureConfig part ("" for FeatureConfig
+# itself) and its field name there.
+_FEATURE_KEYS = {
+    "frame_length_ms": ("grid", "frame_length_ms"),
+    "hop_length_ms": ("grid", "hop_length_ms"),
+    "tdoa_bands": ("tdoa", "band_count"),
+    "tdoa_windows_ms": ("tdoa", "window_lengths_ms"),
+    "mic_spacing_m": ("tdoa", "mic_spacing_m"),
+    **{key: ("", key) for key in ("mel_bands", "log_floor", "pitch_f_min",
+                                  "pitch_f_max", "pitch_threshold")},
+}
+_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _fits(value, kind: type) -> bool:
+    """Whether a JSON value has ``kind``: a bool is no number, an int is
+    also a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _convert(key: str, value):
+    """``value`` as RunConfig's ``key`` holds it, or UsageError.  A tuple
+    comes from a list of its item type or from a comma- or space-separated
+    string, its items cast to that type."""
+    kind = _TYPES[key]
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        if isinstance(value, str):
+            try:
+                return tuple(map(item, value.replace(",", " ").split()))
+            except ValueError:
+                pass
+        elif isinstance(value, (list, tuple)) \
+                and all(_fits(v, item) for v in value):
+            return tuple(map(item, value))
+    elif _fits(value, kind):
+        return value
+    raise UsageError(f"bad value for {key}: {value!r}")
 
 
 def load_config(path: str | os.PathLike | None,
@@ -155,24 +182,11 @@ def load_config(path: str | os.PathLike | None,
         values.update(parsed)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(values) - known
+    unknown = set(values) - set(_TYPES)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for name, cast in _TUPLE_FIELDS.items():
-        if name in values and values[name] is not None:
-            raw = values[name]
-            if isinstance(raw, str):
-                raw = [t for t in raw.replace(",", " ").split() if t]
-            try:
-                values[name] = tuple(cast(item) for item in raw)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"bad value for {name}: {raw!r}") from exc
-    try:
-        config = RunConfig(**values)
-    except TypeError as exc:
-        raise UsageError(f"bad configuration: {exc}") from exc
-    return config.validate()
+    return RunConfig(**{key: _convert(key, value)
+                        for key, value in values.items()}).validate()
 
 
 def write_resolved_config(out_dir: str | os.PathLike, config: RunConfig) -> None:

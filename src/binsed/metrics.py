@@ -18,7 +18,7 @@ flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,14 +45,8 @@ class SegmentCounts:
     false_negatives: int = 0
 
     def __add__(self, other: "SegmentCounts") -> "SegmentCounts":
-        return SegmentCounts(
-            self.substitutions + other.substitutions,
-            self.deletions + other.deletions,
-            self.insertions + other.insertions,
-            self.references + other.references,
-            self.true_positives + other.true_positives,
-            self.false_positives + other.false_positives,
-            self.false_negatives + other.false_negatives)
+        return SegmentCounts(**{f.name: getattr(self, f.name)
+                                + getattr(other, f.name) for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -73,12 +67,11 @@ def segment_activity(activity: np.ndarray,
     activity = np.asarray(activity)
     if activity.ndim != 2:
         raise ValueError("activity must be (frames, classes)")
-    total = activity.shape[0]
+    total, classes = activity.shape
     segment_count = (total + frames - 1) // frames
-    pooled = np.zeros((segment_count, activity.shape[1]), dtype=bool)
-    for s in range(segment_count):
-        pooled[s] = activity[s * frames:(s + 1) * frames].any(axis=0)
-    return pooled
+    padded = np.zeros((segment_count * frames, classes), dtype=bool)
+    padded[:total] = activity
+    return padded.reshape(segment_count, frames, classes).any(axis=1)
 
 
 def score(reference: EventRoll, system: EventRoll,

@@ -349,24 +349,29 @@ def _train_job(index: int) -> Checkpoint:
 
 
 def train_runs(runs: list[tuple[RunConfig, ContextData]]) -> Iterator[Checkpoint]:
-    """Train and save every fold of each run: a context, trained on the
-    combination its config's ``features`` names.  Every fold's coverage is
-    checked before anything trains; then all folds train on one pool of
-    forked processes, one per CPU up to the job count.  Each draws from its
-    own ``fold_seed``, so the results do not depend on the worker count.
-    Yields each fold's checkpoint in job order once its files are written,
-    and holds none past the next yield.  When a job raises, or the
+    """Check every fold's coverage, then return the generator that trains
+    and saves every fold of each run: a context, trained on the combination
+    its config's ``features`` names.  All folds train on one pool of forked
+    processes, one per CPU up to the job count.  Each draws from its own
+    ``fold_seed``, so the results do not depend on the worker count.  The
+    generator yields each fold's checkpoint in job order once its files are
+    written, and holds none past the next yield.  When a job raises, or the
     caller closes the generator, the jobs before it are saved, nothing after
     them is, the folds still training are stopped and the rest cancelled.
     """
+    return _train_jobs([(config, data, split) for config, data in runs
+                        for split in context_folds(config, data)])
+
+
+def _train_jobs(jobs: list[tuple[RunConfig, ContextData, FoldSplit]]
+                ) -> Iterator[Checkpoint]:
     # Imported here, because they add about 1.3 MB to the peak memory of
     # extract and detect, which start no process pool.
     import multiprocessing
     import signal
     from concurrent.futures import ProcessPoolExecutor
 
-    _jobs[:] = [(config, data, split) for config, data in runs
-                for split in context_folds(config, data)]
+    _jobs[:] = jobs
     existing = set(multiprocessing.active_children())
     # Forked workers inherit the jobs and BLAS thread settings: the pool forks
     # them all at its first submit, before it starts any thread of its own.

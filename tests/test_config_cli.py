@@ -26,7 +26,9 @@ from binsed.pipeline import (ContextData, ablation_tokens,
                              evaluate_context, extract_context, fold_seed,
                              read_context_features, write_context_features)
 from binsed.folds import FoldSplit, make_folds
-from binsed.training import Scaler, detect_roll, fit_scaler, init_train_state
+from binsed.tdoa import TdoaConfig
+from binsed.training import (Scaler, TrainConfig, detect_roll, fit_scaler,
+                             init_train_state)
 
 
 class TestLoadConfig:
@@ -81,10 +83,64 @@ class TestLoadConfig:
                                            {"threshold": 1.5},
                                            {"validation_fraction": 1.0},
                                            {"hidden_sizes": ()},
-                                           {"max_epochs": 0}])
+                                           {"max_epochs": 0},
+                                           {"hop_length_ms": 0},
+                                           {"frame_length_ms": -40},
+                                           {"tdoa_windows_ms": []},
+                                           {"tdoa_windows_ms": [120, 0]},
+                                           {"mel_bands": 0},
+                                           {"tdoa_bands": 0},
+                                           {"mic_spacing_m": 0},
+                                           {"pitch_f_min": 5000},
+                                           {"pitch_f_min": 0},
+                                           {"log_floor": 0}])
     def test_validation_failures(self, overrides):
         with pytest.raises(UsageError):
             load_config(None, overrides)
+
+    @pytest.mark.parametrize("key,value", [
+        ("fold_count", "3"), ("batch_size", 32.0), ("learning_rate", "0.003"),
+        ("seed", None), ("seed", True), ("hidden_sizes", [16.5]),
+        ("hidden_sizes", [True]), ("macro_average", "no"),
+        ("export_csv", 1), ("validation_fraction", False), ("features", 5),
+        ("contexts", ["park", 3]), ("contexts", {"park": 1}),
+        ("tdoa_windows_ms", ["120"]), ("tdoa_windows_ms", 120.0),
+        ("synth_plan", None)])
+    def test_wrongly_typed_values_are_refused(self, tmp_path, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(UsageError, match=f"bad value for {key}"):
+            load_config(path)
+
+    def test_values_keep_their_json_form(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"learning_rate": 1, "macro_average": True,
+                                    "tdoa_windows_ms": [120, 240.5]}))
+        config = load_config(path)
+        # A float key keeps an integer as given, so config.json keeps it too;
+        # tuple items are cast to their type.
+        assert type(config.learning_rate) is int
+        assert json.loads(config.to_json())["learning_rate"] == 1
+        assert config.macro_average is True
+        assert config.tdoa_windows_ms == (120.0, 240.5)
+        assert all(type(w) is float for w in config.tdoa_windows_ms)
+
+    def test_defaults_are_the_component_defaults(self):
+        config = RunConfig()
+        assert config.feature_config() == FeatureConfig()
+        assert config.train_config() == TrainConfig()
+        assert config.with_feature_config(FeatureConfig()) == config
+
+    def test_feature_keys_map_both_ways(self):
+        features = FeatureConfig(
+            grid=FrameGrid(frame_length_ms=30.0, hop_length_ms=10.0),
+            mel_bands=24, log_floor=1e-8, pitch_f_min=80.0,
+            pitch_f_max=3000.0, pitch_threshold=0.2,
+            tdoa=TdoaConfig(band_count=4, window_lengths_ms=(60.0, 90.0),
+                            mic_spacing_m=0.3))
+        config = RunConfig().with_feature_config(features)
+        assert config.feature_config() == features
+        assert (config.hop_length_ms, config.tdoa_bands) == (10.0, 4)
 
     def test_bad_tuple_value(self):
         with pytest.raises(UsageError, match="hidden_sizes"):
@@ -313,6 +369,21 @@ class TestCliPipeline:
         shutil.copytree(workspace / "out" / "features", unfit / "features")
         assert main(["evaluate", "--config", run, "--out", str(unfit)]) == 2
         assert not (unfit / "config.json").exists()
+
+    def test_evaluate_refuses_a_wrongly_typed_macro_average(self, workspace,
+                                                            capsys):
+        # "no" is truthy: read as given, it would print the macro row.
+        out = _trained_copy(workspace, "out_macro_no")
+        path = workspace / "macro_no.json"
+        path.write_text(json.dumps({"out_dir": str(out), "contexts": ["park"],
+                                    "macro_average": "no"}))
+        before = _tree(out)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "bad value for macro_average: 'no'" in err
+        assert "Traceback" not in err
+        assert _tree(out) == before
 
     def test_evaluate_refuses_conflicting_features(self, workspace, capsys):
         # evaluate takes no --features: the extraction decided them.
@@ -575,6 +646,25 @@ class TestRunRecord:
                          "rec000.wav")]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "retrain" in err
+
+    @pytest.mark.parametrize("name,combination", [
+        ("unknown", "mel_1;tdoa;bogus"), ("narrower", "mel_1")])
+    def test_detect_refuses_a_combination_that_is_not_its_layout(
+            self, workspace, capsys, name, combination):
+        ckpt = load_checkpoint(workspace / "out" / "models" / "park" /
+                               "fold0.ckpt")
+        ckpt.combination = combination
+        path = workspace / f"combination_{name}.ckpt"
+        save_checkpoint(path, ckpt)
+        # Refused as it loads, before any audio is decoded.
+        with pytest.raises(DataError, match="retrain it with the train"):
+            load_checkpoint(path)
+        capsys.readouterr()
+        assert main(["detect", "--checkpoint", str(path), "--audio",
+                     str(workspace / "data" / "park" / "audio" /
+                         "rec000.wav")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
 
     def test_features_shorter_than_their_targets_are_refused(self, workspace,
                                                              capsys):

@@ -186,6 +186,18 @@ class TestOnePool:
         assert list(out.rglob("*.ckpt")) == []
         assert list(out.rglob("config.json")) == []
 
+    def test_coverage_is_checked_before_the_generator_exists(self, contexts):
+        # So a command can write its config.json between the check and the
+        # first fold, from one check.
+        extracted = _config(contexts, contexts / "extracted")
+        runs = [(_config(contexts, contexts / "uncovered_call"),
+                 pipeline.read_context_features(extracted, context))
+                for context in ("park", "broken")]
+        with pytest.raises(DataError, match="never occur"):
+            pipeline.train_runs(runs)
+        assert pipeline._jobs == []
+        assert not (contexts / "uncovered_call").exists()
+
     def test_checkpoints_record_the_seed_and_context(self, contexts):
         extracted = _config(contexts, contexts / "extracted")
         data = [pipeline.read_context_features(extracted, context)
