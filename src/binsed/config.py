@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass
@@ -75,20 +76,30 @@ class RunConfig:
                 parse_combination(combo)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        for key, kind in _TYPES.items():
+            value = getattr(self, key)
+            if float in (kind, *typing.get_args(kind)) and not all(
+                    map(math.isfinite, value if isinstance(value, tuple)
+                        else (value,))):
+                raise UsageError(f"{key} must be finite")
         if self.fold_count < 2:
             raise UsageError("fold_count must be at least 2 so every fold "
                              "keeps a non-empty train group")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise UsageError("validation_fraction must be in [0, 1)")
-        if self.patience < 0:
-            raise UsageError("patience must be non-negative")
+        for key in ("validation_fraction", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise UsageError(f"{key} must be in [0, 1)")
         if not 0.0 < self.threshold < 1.0:
             raise UsageError("threshold must lie strictly between 0 and 1")
-        if self.block_mix_ratio < 0:
-            raise UsageError("block_mix_ratio must be non-negative")
+        if not 0.0 <= self.pitch_threshold <= 1.0:
+            raise UsageError("pitch_threshold must be in [0, 1]")
+        # A gradient_clip of 0 means no clipping.
+        for key in ("patience", "block_mix_ratio", "gradient_clip"):
+            if getattr(self, key) < 0:
+                raise UsageError(f"{key} must be non-negative")
         for key in ("sequence_length", "batch_size", "max_epochs", "mel_bands",
                     "tdoa_bands", "frame_length_ms", "hop_length_ms",
-                    "mic_spacing_m", "log_floor"):
+                    "mic_spacing_m", "log_floor", "learning_rate",
+                    "adam_epsilon"):
             if not getattr(self, key) > 0:
                 raise UsageError(f"{key} must be positive")
         for key in ("hidden_sizes", "tdoa_windows_ms"):

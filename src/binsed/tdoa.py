@@ -18,11 +18,14 @@ frames deterministically emit 0.
 
 R_b is evaluated only at the 2 * max_lag + 1 candidate lags, not by a
 full-length inverse FFT: over the one-sided bins where H_b is non-zero, the
-real and imaginary parts of G multiply a precomputed real basis that folds
-in H_b, the one-sided factor (1 at DC and Nyquist, 2 elsewhere) and
-cos / sin of 2 * pi * k * delta / N.  That is the value irfft would put at
-index -delta mod N, so one matmul per band replaces an N-point transform
-of which only a few dozen outputs were ever read.
+real and imaginary parts of G multiply precomputed real bases that fold in
+H_b, the one-sided factor (1 at DC and Nyquist, 2 elsewhere) and cos / sin
+of 2 * pi * k * delta / N.  cos is even in delta and sin odd, so the bases
+hold cos for lags 0..max_lag and sin for 1..max_lag only, and
+R_b(+-delta) = even_delta +- odd_delta.  That is the value irfft would put
+at index -delta mod N, so two matmuls of max_lag + 1 and max_lag columns
+per band replace an N-point transform of which only a few dozen outputs
+were ever read.
 
 Delays are estimated independently over three analysis window lengths
 centred on the common 20 ms feature hop, giving one (frames, windows,
@@ -35,7 +38,9 @@ compute the stack once and collapse it.
 Every (frame, window) estimate is independent of the others, so the
 extractor splits each window's frames into tasks and runs the (window,
 task) pairs on a thread pool sized to the CPUs the process may use; numpy's
-FFT and the BLAS matmuls release the interpreter lock.  Each window is cut
+FFT and the BLAS matmuls release the interpreter lock.  Every window reads
+its frames from one zero-padded copy of each channel, padded by the longest
+window, as overlapping rows of a read-only view.  Each window is cut
 into one task per worker, sizes differing by at most one frame, so every
 worker gets the same share.  One budget of frames times FFT size, shared by
 the workers so that peak memory does not grow with the core count, bounds
@@ -144,18 +149,21 @@ class _LagBasis:
 
     lo: int
     hi: int
-    real: np.ndarray             # (hi - lo, lags), multiplies Re G
-    imag: np.ndarray             # (hi - lo, lags), multiplies Im G
+    even: np.ndarray             # (hi - lo, max_lag + 1), multiplies Re G
+    odd: np.ndarray              # (hi - lo, max_lag), multiplies Im G
 
 
 def _lag_bases(weights: np.ndarray, fft_size: int,
-               offsets: np.ndarray) -> tuple[_LagBasis, ...]:
+               max_lag: int) -> tuple[_LagBasis, ...]:
     """One basis per band row of ``weights`` (bands, fft_size // 2 + 1).
 
-    Column j of a basis gives irfft(G * H_b, n=fft_size)[-offsets[j] mod N]
-    as Re G . real[:, j] + Im G . imag[:, j], restricted to the band's
-    non-zero bins.  Like irfft, it ignores Im G at DC and Nyquist.
+    Re G . even[:, d] is the part of R_b(+-d) that is even in the lag, for
+    d = 0..max_lag, and Im G . odd[:, d - 1] the odd part, for d = 1..max_lag:
+    R_b(0) = even_0 and R_b(+-d) = even_d +- odd_d give
+    irfft(G * H_b, n=fft_size)[-+d mod N], restricted to the band's non-zero
+    bins.  Like irfft, it ignores Im G at DC and Nyquist.
     """
+    lags = np.arange(max_lag + 1, dtype=np.int64)
     bases = []
     for band_weights in weights:
         live = np.flatnonzero(band_weights)
@@ -163,16 +171,17 @@ def _lag_bases(weights: np.ndarray, fft_size: int,
         k = np.arange(lo, hi, dtype=np.int64)
         edge = (k == 0) | (2 * k == fft_size)
         scale = np.where(edge, 1.0, 2.0) * band_weights[lo:hi] / fft_size
-        # Reduce k * delta modulo N in integers, to [-N/2, N/2), so the
-        # angle is exact before the trigonometry and +-delta stay symmetric.
+        # Reduce k * d modulo N in integers, to [-N/2, N/2), so the angle is
+        # exact before the trigonometry.  A phase of exactly -N/2 is its own
+        # negation, so its sine is 0, as at DC and Nyquist.
         half = fft_size // 2
-        phase = (np.outer(k, offsets) + half) % fft_size - half
+        phase = (np.outer(k, lags) + half) % fft_size - half
         angle = (2.0 * np.pi / fft_size) * phase
-        sine = np.sin(angle)
-        sine[edge] = 0.0
+        sine = np.sin(angle[:, 1:])
+        sine[edge[:, None] | (2 * phase[:, 1:] == -fft_size)] = 0.0
         bases.append(_LagBasis(lo=lo, hi=hi,
-                               real=scale[:, None] * np.cos(angle),
-                               imag=scale[:, None] * sine))
+                               even=scale[:, None] * np.cos(angle),
+                               odd=scale[:, None] * sine))
     return tuple(bases)
 
 
@@ -186,8 +195,8 @@ def _window_plan(band_count: int, fft_size: int, sample_rate: int,
     """
     filterbank = build_mel_filterbank(band_count, fft_size, sample_rate)
     offsets = _lag_order(max_lag, fft_size)
-    bases = _lag_bases(filterbank.weights, fft_size, offsets)
-    for array in (offsets, *(a for b in bases for a in (b.real, b.imag))):
+    bases = _lag_bases(filterbank.weights, fft_size, max_lag)
+    for array in (offsets, *(a for b in bases for a in (b.even, b.odd))):
         array.flags.writeable = False
     return offsets, bases
 
@@ -195,23 +204,36 @@ def _window_plan(band_count: int, fft_size: int, sample_rate: int,
 _TIE_REL_TOL = 1e-12
 
 
-def _band_delays(real: np.ndarray, imag: np.ndarray,
-                 bases: tuple[_LagBasis, ...],
-                 offsets: np.ndarray) -> np.ndarray:
-    """Delays (frames, bands) from a whitened cross-spectrum (frames, bins).
+def _pick_lags(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The lag of each row's top score in ``scores`` (frames, lags), whose
+    columns follow ``offsets``.
 
     Scores within a hair of the maximum are treated as tied so that
     mathematically equal |R| values (which floating point renders with
     last-bit noise) resolve by the search order, not by rounding accidents.
     """
+    top = scores.max(axis=1, keepdims=True)
+    at_top = scores >= top * (1.0 - _TIE_REL_TOL)
+    return offsets[np.argmax(at_top, axis=1)]
+
+
+def _band_delays(real: np.ndarray, imag: np.ndarray,
+                 bases: tuple[_LagBasis, ...],
+                 offsets: np.ndarray) -> np.ndarray:
+    """Delays (frames, bands) from a whitened cross-spectrum (frames, bins).
+
+    Each band's even and odd parts are combined into R_b at the lags in the
+    order of ``offsets``: 0, -1, +1, -2, +2, ...
+    """
     delays = np.empty((real.shape[0], len(bases)), dtype=np.float64)
+    corr = np.empty((real.shape[0], len(offsets)), dtype=np.float64)
     for b, basis in enumerate(bases):
-        corr = (real[:, basis.lo:basis.hi] @ basis.real
-                + imag[:, basis.lo:basis.hi] @ basis.imag)
-        scores = np.abs(corr)
-        top = scores.max(axis=1, keepdims=True)
-        at_top = scores >= top * (1.0 - _TIE_REL_TOL)
-        delays[:, b] = offsets[np.argmax(at_top, axis=1)]
+        even = real[:, basis.lo:basis.hi] @ basis.even
+        odd = imag[:, basis.lo:basis.hi] @ basis.odd
+        corr[:, 0] = even[:, 0]
+        np.subtract(even[:, 1:], odd, out=corr[:, 1::2])
+        np.add(even[:, 1:], odd, out=corr[:, 2::2])
+        delays[:, b] = _pick_lags(np.abs(corr, out=corr), offsets)
     return delays
 
 
@@ -233,23 +255,25 @@ def gcc_phat_band(spec1: Spectrogram, spec2: Spectrogram,
     real, imag = _phat_cross_spectrum(spec1.bins[frame:frame + 1].copy(),
                                       spec2.bins[frame:frame + 1].copy(), floor)
     bases = _lag_bases(filterbank.weights[band:band + 1], spec1.fft_size,
-                       offsets)
+                       max_lag)
     return int(_band_delays(real, imag, bases, offsets)[0, 0])
 
 
-def _segments(samples: np.ndarray, window_length: int, frame_count: int,
-              sample_rate: int, grid: FrameGrid) -> np.ndarray:
-    """Zero-padded (frame_count, window_length) read-only view of ``samples``
-    whose row t is the window centred on frame t's centre.
+def _segments(padded: np.ndarray, pad: int, window_length: int,
+              frame_count: int, sample_rate: int,
+              grid: FrameGrid) -> np.ndarray:
+    """(channels, frame_count, window_length) read-only view of ``padded``,
+    the channels with ``pad`` >= window_length zeros on each side, whose
+    row t is the window centred on frame t's centre.
 
-    The rows overlap in memory; nothing is copied beyond the padding.
+    The rows overlap in memory, so every window length reads the one padded
+    copy of the channels and nothing is copied.
     """
     hop = grid.hop_samples(sample_rate)
-    first = (grid.frame_samples(sample_rate) // 2 - window_length // 2
-             + window_length)
-    padded = np.pad(samples, (window_length, window_length))
-    view = np.lib.stride_tricks.sliding_window_view(padded, window_length)
-    return view[first:first + (frame_count - 1) * hop + 1:hop]
+    first = grid.frame_samples(sample_rate) // 2 - window_length // 2 + pad
+    view = np.lib.stride_tricks.sliding_window_view(padded, window_length,
+                                                    axis=-1)
+    return view[:, first:first + (frame_count - 1) * hop + 1:hop]
 
 
 def tdoa_window_spectrograms(clip: AudioClip, window_length_ms: float,
@@ -274,10 +298,11 @@ def tdoa_window_spectrograms(clip: AudioClip, window_length_ms: float,
         raise DataError("clip is shorter than one analysis frame")
     window_length = int(round(window_length_ms * clip.sample_rate / 1000.0))
     fft_size = next_pow2(window_length + 2 * max_lag + 1)
+    padded = np.pad(clip.samples, ((0, 0), (window_length, window_length)))
     specs = []
-    for ch in range(2):
-        segments = _segments(clip.samples[ch], window_length, frame_count,
-                             clip.sample_rate, grid)
+    for ch, segments in enumerate(_segments(padded, window_length,
+                                            window_length, frame_count,
+                                            clip.sample_rate, grid)):
         bins = np.fft.rfft(segments, n=fft_size, axis=1)
         specs.append(Spectrogram(bins=bins, fft_size=fft_size,
                                  sample_rate=clip.sample_rate, grid=grid,
@@ -310,8 +335,9 @@ def collapse_windows(tdoa3: np.ndarray, band_count: int) -> np.ndarray:
 # Frames times FFT size, summed over the workers so that peak memory does
 # not grow with the core count: each task's block of spectra stays within
 # its worker's share, which bounds the TDOA memory peak.  This size keeps
-# detection's speed; half of it cost about 2% (BENCH_13.json).
-_BLOCK_BINS = 2 ** 20
+# the extractor within a few percent of the speed of twice it, at half the
+# spectra's memory (BENCH_23.json).
+_BLOCK_BINS = 2 ** 19
 
 
 def _chunk_delays(out: np.ndarray, pair: list[np.ndarray], fft_size: int,
@@ -367,13 +393,16 @@ def extract_tdoa(clip: AudioClip, variant: str = "tdoa",
     windows = len(config.window_lengths_ms)
     stacked = np.empty((frame_count, windows, config.band_count))
     cpus = parallel.cpu_count()
+    lengths = [int(round(window_ms * sr / 1000.0))
+               for window_ms in config.window_lengths_ms]
+    # One zero-padded copy of each channel, which every window reads.
+    pad = max(lengths)
+    padded = np.pad(clip.samples, ((0, 0), (pad, pad)))
     tasks = []
-    for w, window_ms in enumerate(config.window_lengths_ms):
-        window_length = int(round(window_ms * sr / 1000.0))
+    for w, window_length in enumerate(lengths):
         fft_size = next_pow2(window_length + 2 * max_lag + 1)
         plan = _window_plan(config.band_count, fft_size, sr, max_lag)
-        pair = [_segments(samples, window_length, frame_count, sr, grid)
-                for samples in clip.samples]
+        pair = _segments(padded, pad, window_length, frame_count, sr, grid)
         # One equal task per worker gives every worker the same share.
         splits = [np.array_split(a, cpus) for a in (stacked[:, w], *pair)]
         block_rows = max(1, _BLOCK_BINS // (cpus * fft_size))

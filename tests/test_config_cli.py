@@ -142,6 +142,13 @@ class TestLoadConfig:
         assert config.feature_config() == features
         assert (config.hop_length_ms, config.tdoa_bands) == (10.0, 4)
 
+    def test_optimiser_range_edges_are_accepted(self):
+        # 0 keeps meaning no clipping; a zero moment decay is plain momentum.
+        config = load_config(None, {"gradient_clip": 0, "beta1": 0.0,
+                                    "beta2": 0.0, "pitch_threshold": 1.0})
+        assert config.train_config().gradient_clip == 0
+        assert load_config(None, {"pitch_threshold": 0}).pitch_threshold == 0
+
     def test_bad_tuple_value(self):
         with pytest.raises(UsageError, match="hidden_sizes"):
             load_config(None, {"hidden_sizes": "a,b"})
@@ -818,6 +825,32 @@ class TestCliErrors:
         assert excinfo.value.code == 1
         assert flags[0] in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key,value", [
+        ("learning_rate", -0.003), ("learning_rate", 0.0),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", 1.5),
+        ("adam_epsilon", 0.0), ("gradient_clip", -1.0),
+        ("pitch_threshold", 1.5), ("pitch_threshold", -0.1),
+        ("learning_rate", float("nan")), ("beta2", float("nan")),
+        ("gradient_clip", float("inf")), ("threshold", float("nan")),
+        ("block_mix_ratio", float("inf")),
+        ("tdoa_windows_ms", [120.0, float("inf")])])
+    def test_settings_that_train_nonsense_are_refused(self, tmp_path, capsys,
+                                                       key, value):
+        # No data exists, so a run that got past the check would exit 2.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value, "contexts": ["park"],
+                                    "data_root": str(tmp_path / "nowhere"),
+                                    "out_dir": str(tmp_path / "out")}))
+        assert main(["train", "--config", str(path)]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_learning_rate_flag_is_refused(self, tmp_path, capsys):
+        assert main(["train", "--context", "park", "--learning-rate", "-0.003",
+                     "--data-root", str(tmp_path / "nowhere"),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "learning_rate must be positive" in capsys.readouterr().err
 
     def test_detect_missing_checkpoint_is_data_error(self, tmp_path):
         wav = tmp_path / "x.wav"

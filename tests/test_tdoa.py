@@ -8,8 +8,8 @@ from binsed.audio import AudioClip, FrameGrid, Spectrogram
 from binsed.errors import DataError
 from binsed.melbank import build_mel_filterbank
 from binsed.synth import SynthClass, random_scene_plan, synthesize_scene
-from binsed.tdoa import (TdoaConfig, _band_delays, _lag_bases, _LagBasis,
-                         _lag_order, _window_plan, collapse_windows,
+from binsed.tdoa import (TdoaConfig, _lag_bases, _lag_order, _pick_lags,
+                         _window_plan, collapse_windows,
                          extract_tdoa, gcc_phat_band, max_delay_samples,
                          tdoa_window_spectrograms)
 
@@ -123,12 +123,23 @@ class TestGccPhatBand:
             if fft_size % 2 == 0:
                 g.imag[:, -1] = 1e8
             offsets = _lag_order(10, fft_size)
-            for band, basis in zip(weights,
-                                   _lag_bases(weights, fft_size, offsets)):
-                got = (g.real[:, basis.lo:basis.hi] @ basis.real
-                       + g.imag[:, basis.lo:basis.hi] @ basis.imag)
+            for band, basis in zip(weights, _lag_bases(weights, fft_size, 10)):
+                even = g.real[:, basis.lo:basis.hi] @ basis.even
+                odd = g.imag[:, basis.lo:basis.hi] @ basis.odd
+                # R(0) = even_0 and R(+-d) = even_d +- odd_d, in the
+                # search order 0, -1, +1, ... of ``offsets``.
+                got = np.empty((3, len(offsets)))
+                got[:, 0] = even[:, 0]
+                got[:, 1::2] = even[:, 1:] - odd
+                got[:, 2::2] = even[:, 1:] + odd
                 want = np.fft.irfft(g * band, n=fft_size)[:, -offsets % fft_size]
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                # Where k * d = N/2 mod N, +d and -d share the phase -N/2,
+                # whose sine is exactly 0, not sin(-pi)'s rounding.
+                k = np.arange(basis.lo, basis.hi)[:, None]
+                d = np.arange(1, 11)
+                half_turn = 2 * k * d % (2 * fft_size) == fft_size
+                assert not basis.odd[half_turn].any()
 
     def test_tie_breaks_prefer_negative_sign(self):
         # x2 = symmetric impulse pair: |R(+4)| == |R(-4)| exactly, both
@@ -159,10 +170,8 @@ class TestGccPhatBand:
         rows = ([noisy, 1.0, 0.5, 0.2, 0.1],        # 0 over -1
                 [0.3, noisy, 1.0, 0.2, 0.1],        # -1 over +1
                 [1.0 - 1e-9, 1.0, 0.5, 0.2, 0.1])   # a real gap: -1
-        bases = [_LagBasis(lo=0, hi=1, real=np.array([row]),
-                           imag=np.zeros((1, 5))) for row in rows]
-        got = _band_delays(np.ones((1, 1)), np.zeros((1, 1)), bases, offsets)
-        assert got.tolist() == [[0.0, -1.0, -1.0]]
+        got = _pick_lags(np.array(rows), offsets)
+        assert got.tolist() == [0, -1, -1]
 
     def test_leaves_spectrograms_unchanged(self):
         clip = _delayed_noise_clip(+3, seconds=0.5)
@@ -264,7 +273,7 @@ class TestExtractTdoa:
         with pytest.raises(ValueError, match="read-only"):
             offsets[0] = 1
         for basis in bases:
-            for array in (basis.real, basis.imag):
+            for array in (basis.even, basis.odd):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 0.0
 

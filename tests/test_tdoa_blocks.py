@@ -1,11 +1,15 @@
 """The block budget: each TDOA task runs its frames in blocks whose spectra
 stay within the worker's share of ``tdoa._BLOCK_BINS``, into buffers lent
-from one array per call, and the delays do not depend on the blocks."""
+from one array per call, and the delays do not depend on the blocks.  One
+call's traced memory stays within that budget plus the lag bases."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from binsed import parallel, tdoa
+from binsed.audio import AudioClip, next_pow2
 from binsed.tdoa import TdoaConfig, extract_tdoa
 from test_tdoa import _delayed_noise_clip, _regression_clips
 
@@ -70,3 +74,37 @@ def test_delays_do_not_depend_on_the_blocks(name, clip, cpus, monkeypatch):
     # 2 ** 12 bins puts every frame of the longer windows in a block alone.
     monkeypatch.setattr(tdoa, "_BLOCK_BINS", 2 ** 12)
     assert np.array_equal(extract_tdoa(clip, "tdoa3").values, want)
+
+
+def test_a_5_s_clip_peaks_under_16_mib(monkeypatch):
+    # The spectra take 8 MiB (16 B x 2 ** 19), the lag bases of the three
+    # windows under 4 MiB; built here, since the plan cache is cleared.
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+    rng = np.random.default_rng(5)
+    clip = AudioClip(samples=rng.standard_normal((2, 5 * 16000)) * 0.2,
+                     sample_rate=16000)
+    tdoa._window_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        extract_tdoa(clip, "tdoa3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_lag_bases_hold_one_column_per_lag_magnitude():
+    # cos is even in the lag and sin odd: lags 0..L and 1..L suffice.
+    sr = 16000
+    config = TdoaConfig()
+    max_lag = config.max_lag(sr)
+    for window_ms in config.window_lengths_ms:
+        window_length = int(round(window_ms * sr / 1000.0))
+        fft_size = next_pow2(window_length + 2 * max_lag + 1)
+        offsets, bases = tdoa._window_plan(config.band_count, fft_size, sr,
+                                           max_lag)
+        assert len(offsets) == 2 * max_lag + 1
+        assert len(bases) == config.band_count
+        for basis in bases:
+            assert basis.even.shape == (basis.hi - basis.lo, max_lag + 1)
+            assert basis.odd.shape == (basis.hi - basis.lo, max_lag)
