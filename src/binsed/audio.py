@@ -210,6 +210,8 @@ def decode_wav(path: str | os.PathLike) -> AudioClip:
                                "(expected 16 or 24)")
     if channels not in (1, 2):
         raise AudioFormatError(f"unsupported WAV encoding: {channels} channels")
+    if sample_rate == 0:
+        raise AudioFormatError(f"unsupported WAV encoding: sample rate 0 ({path})")
     bytes_per_sample = bits // 8
     if block_align and block_align != bytes_per_sample * channels:
         raise AudioFormatError("unsupported WAV encoding: unexpected block alignment")

@@ -6,7 +6,7 @@ threshold), to score its fold (the split), to name the run that trained it
 (the seed and context, which with the combination and fold index give its
 ``fold_seed``) and to resume training bit-exactly from an epoch boundary
 (current parameters, Adam moments, early-stopping counters, RNG state,
-history).
+history).  Its layout is derived from the combination and feature settings.
 
 It is a ``container`` record, magic ``BSC1``: the settings, counters and PCG64
 state in the JSON header; the scaler, parameters, Adam moments, history and
@@ -25,14 +25,14 @@ import numpy as np
 from . import lstm
 from .container import read_record, write_record
 from .errors import DataError
-from .features import (FeatureConfig, feature_config_from_json,
-                       feature_config_to_json, parse_combination)
+from .features import (FeatureConfig, combination_layout,
+                       feature_config_from_json, feature_config_to_json)
 from .folds import FoldSplit
 from .layout import FeatureLayout
 from .training import AdamState, EpochRecord, Scaler, TrainState
 
 MAGIC = b"BSC1"
-VERSION = 5
+VERSION = 6
 # Header entries stored as they are on the Checkpoint and on its TrainState.
 _SETTINGS = ("combination", "context", "seed", "sequence_length", "threshold")
 _COUNTERS = ("epoch", "epochs_since_improvement", "stopped")
@@ -44,13 +44,17 @@ class Checkpoint:
     scaler: Scaler
     class_order: tuple[str, ...]
     combination: str
-    layout: FeatureLayout
     split: FoldSplit
     feature_config: FeatureConfig
     sequence_length: int
     threshold: float
     seed: int
     context: str
+
+    @property
+    def layout(self) -> FeatureLayout:
+        """The columns the model reads: ValueError if malformed."""
+        return combination_layout(self.combination, self.feature_config)
 
 
 def save_checkpoint(path: str | os.PathLike, checkpoint: Checkpoint) -> None:
@@ -67,7 +71,6 @@ def save_checkpoint(path: str | os.PathLike, checkpoint: Checkpoint) -> None:
         "class_order": checkpoint.class_order,
         "features": feature_config_to_json(checkpoint.feature_config),
         "layer_sizes": state.layer_sizes,
-        "layout": checkpoint.layout.blocks,
         "rng": rng_state,
         "split": asdict(checkpoint.split),
     }
@@ -109,37 +112,30 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
             state=state,
             scaler=Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"]),
             class_order=tuple(header["class_order"]),
-            layout=FeatureLayout(tuple(map(tuple, header["layout"]))),
             split=FoldSplit(**{key: value if key == "fold_index" else
                                tuple(value)
                                for key, value in header["split"].items()}),
             feature_config=feature_config_from_json(header["features"]),
             **{key: header[key] for key in _SETTINGS})
-        _check_layout(path, checkpoint, arrays)
+        _check_shapes(path, checkpoint, arrays)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint header in {path}; retrain it "
                         "with the train command") from exc
     return checkpoint
 
 
-def _check_layout(path: str | os.PathLike, checkpoint: Checkpoint,
+def _check_shapes(path: str | os.PathLike, checkpoint: Checkpoint,
                   arrays: dict[str, np.ndarray]) -> None:
-    """The combination must name the layout's blocks, in order, and each
-    array must have the shape the header's layer sizes, layout and class
-    order give it, or the model cannot run on its own features."""
-    tokens = parse_combination(checkpoint.combination)   # ValueError: malformed
-    if tuple(spec.token for spec in tokens) != checkpoint.layout.block_names:
-        raise DataError(f"checkpoint combination {checkpoint.combination!r} "
-                        "does not name its layout blocks "
-                        f"{checkpoint.layout.block_names}: {path}; retrain it "
-                        "with the train command")
+    """Each array must have the shape the header's layer sizes, layout and
+    class order give it, or the model cannot run on its own features."""
     sizes = checkpoint.state.layer_sizes
-    width = checkpoint.layout.width
+    width = checkpoint.layout.width          # ValueError: malformed
     if len(sizes) < 2 or sizes[0] != width \
             or sizes[-1] != len(checkpoint.class_order):
         raise DataError(f"checkpoint layer sizes {sizes} do not match its "
                         f"layout width {width} and "
-                        f"{len(checkpoint.class_order)} classes: {path}")
+                        f"{len(checkpoint.class_order)} classes: {path}; "
+                        "retrain it with the train command")
     vector = (lstm._vector_size(sizes),)
     shapes = {"params": vector, "best_params": vector, "adam_first": vector,
               "adam_second": vector, "scaler_mean": (width,),

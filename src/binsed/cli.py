@@ -181,8 +181,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     clip = decode_wav(args.audio)
     features = assemble_features(clip, checkpoint.combination,
                                  checkpoint.feature_config)
-    if features.layout.blocks != checkpoint.layout.blocks:
-        raise DataError("extracted features do not match the checkpoint layout")
     roll = detect_roll(checkpoint.state.best_params, checkpoint.scaler,
                        features, checkpoint.class_order,
                        threshold=checkpoint.threshold,

@@ -93,13 +93,14 @@ class RunConfig:
         if not 0.0 <= self.pitch_threshold <= 1.0:
             raise UsageError("pitch_threshold must be in [0, 1]")
         # A gradient_clip of 0 means no clipping.
-        for key in ("patience", "block_mix_ratio", "gradient_clip"):
+        for key in ("seed", "patience", "block_mix_ratio", "gradient_clip"):
             if getattr(self, key) < 0:
                 raise UsageError(f"{key} must be non-negative")
         for key in ("sequence_length", "batch_size", "max_epochs", "mel_bands",
                     "tdoa_bands", "frame_length_ms", "hop_length_ms",
                     "mic_spacing_m", "log_floor", "learning_rate",
-                    "adam_epsilon"):
+                    "adam_epsilon", "synth_recordings", "synth_duration",
+                    "synth_sample_rate"):
             if not getattr(self, key) > 0:
                 raise UsageError(f"{key} must be positive")
         for key in ("hidden_sizes", "tdoa_windows_ms"):

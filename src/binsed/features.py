@@ -103,8 +103,15 @@ def block_width(spec: BlockSpec, config: FeatureConfig | None = None) -> int:
     return per_channel * spec.channels
 
 
+def combination_layout(combination: str,
+                       config: FeatureConfig | None = None) -> FeatureLayout:
+    """A combination's columns, its blocks in order: every layout's rule."""
+    return FeatureLayout(tuple((s.token, block_width(s, config))
+                               for s in parse_combination(combination)))
+
+
 def combination_width(combination: str, config: FeatureConfig | None = None) -> int:
-    return sum(block_width(s, config) for s in parse_combination(combination))
+    return combination_layout(combination, config).width
 
 
 @functools.lru_cache(maxsize=32)
@@ -122,18 +129,24 @@ def extract_block_values(clip: AudioClip, tokens: list[str],
                          config: FeatureConfig | None = None) -> FeatureMatrix:
     """Extract several blocks at once, sharing STFTs between them.
 
-    This is the one place block columns are stacked: blocks follow the order
-    of ``tokens``, widths come from ``block_width``, and the values are
-    rounded once through float32, the precision of the ``.feat`` container,
-    so a matrix in memory equals the one written and read back.
+    This is the one place block columns are stacked: the layout is
+    ``combination_layout`` of ``tokens``, and the values are rounded once
+    through float32, the precision of the ``.feat`` container, so a matrix
+    in memory equals the one written and read back.
     """
     config = config or FeatureConfig()
-    specs = [parse_combination(token)[0] for token in tokens]
+    specs = parse_combination(";".join(tokens))
+    layout = combination_layout(";".join(tokens), config)
     needs_stereo = any(s.channels == 2 for s in specs)
     if needs_stereo and clip.channel_count != 2:
         raise DataError(
             f"blocks {sorted(s.token for s in specs if s.channels == 2)} "
             f"need a stereo recording, got {clip.channel_count} channel(s)")
+    nyquist = clip.sample_rate / 2.0
+    if config.pitch_f_max > nyquist and any(s.family.startswith("pitch")
+                                            for s in specs):
+        raise DataError(f"pitch_f_max {config.pitch_f_max} Hz exceeds the "
+                        f"recording's Nyquist frequency {nyquist} Hz")
 
     fft_size = next_pow2(config.grid.frame_samples(clip.sample_rate))
 
@@ -173,8 +186,6 @@ def extract_block_values(clip: AudioClip, tokens: list[str],
             else:
                 top3 = pitch3(spec.channels, channel)
                 columns.append(top3 if spec.family == "pitch3" else top3[:, :2])
-    layout = FeatureLayout(tuple((s.token, block_width(s, config))
-                                 for s in specs))
     return FeatureMatrix(values=np.hstack(columns).astype(np.float32),
                          layout=layout)
 

@@ -8,12 +8,16 @@ Data layout on disk::
 Run artefacts land under the output directory::
 
     <out>/features/<context>/<recording>.feat / .targets (+ optional .csv)
-    <out>/features/<context>/manifest.json       (with the FeatureConfig)
+    <out>/features/<context>/manifest.json       (recordings, combination,
+                                                  class order, FeatureConfig)
     <out>/models/<context>/fold<k>.ckpt / fold<k>.log   (.ckpt: split, settings)
     <out>/evaluation/results.json / results.txt
     <out>/ablation/table.txt / table.json
     <out>/ablation/<combination, ';' as '+'>/models/<context>/fold<k>.ckpt / .log
     <out>/config.json
+
+Each fact is recorded once: the directory names the context, ``.targets``
+the classes of each recording, ``combination_layout`` every layout.
 
 ``train_runs`` trains every fold of a ``train`` or ``ablate`` command on one
 pool of forked processes, writes each fold's files in job order and then
@@ -40,9 +44,9 @@ from .config import RunConfig
 from .container import atomic_write_bytes, export_csv, read_features, write_features
 from .errors import DataError, TrainingError
 from .events import EventList, EventRoll, parse_annotations, rasterize
-from .features import (FeatureConfig, extract_block_values,
-                       feature_config_from_json, feature_config_to_json,
-                       parse_combination)
+from .features import (FeatureConfig, combination_layout,
+                       extract_block_values, feature_config_from_json,
+                       feature_config_to_json, parse_combination)
 from .folds import FoldSplit, make_folds
 from .layout import FeatureLayout, FeatureMatrix
 from .metrics import MetricReport, SegmentCounts, combine, score
@@ -91,7 +95,6 @@ class ContextData:
     features: dict[str, FeatureMatrix]
     feature_config: FeatureConfig
     rolls: dict[str, EventRoll] = field(default_factory=dict)
-    labels: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 def context_class_order(event_lists: list[EventList]) -> tuple[str, ...]:
@@ -119,7 +122,6 @@ def extract_context(config: RunConfig, context: str,
     class_order = context_class_order(list(event_lists.values()))
     features: dict[str, FeatureMatrix] = {}
     rolls: dict[str, EventRoll] = {}
-    labels: dict[str, tuple[str, ...]] = {}
     for recording in recordings:
         clip = decode_wav(recording.wav_path)
         matrix = extract_block_values(clip, wanted, feature_config)
@@ -127,13 +129,12 @@ def extract_context(config: RunConfig, context: str,
         rolls[recording.name] = rasterize(event_lists[recording.name],
                                           matrix.frame_count, class_order,
                                           feature_config.grid)
-        labels[recording.name] = event_lists[recording.name].labels
     return ContextData(context=context,
                        combination=";".join(matrix.layout.block_names),
                        class_order=class_order,
                        recordings=[r.name for r in recordings],
                        features=features, feature_config=feature_config,
-                       rolls=rolls, labels=labels)
+                       rolls=rolls)
 
 
 def select_combination(data: ContextData, combination: str,
@@ -166,12 +167,10 @@ def write_context_features(config: RunConfig, data: ContextData) -> None:
         if config.export_csv:
             export_csv(os.path.join(directory, f"{name}.csv"), matrix)
     manifest = {
-        "context": data.context,
         "combination": data.combination,
         "recordings": data.recordings,
         "class_order": list(data.class_order),
         "features": feature_config_to_json(data.feature_config),
-        "labels": {name: list(labels) for name, labels in data.labels.items()},
     }
     atomic_write_bytes(os.path.join(directory, "manifest.json"),
                        (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
@@ -188,10 +187,9 @@ def read_context_features(config: RunConfig, context: str) -> ContextData:
             manifest = json.load(fh)
         class_order = tuple(manifest["class_order"])
         recordings = list(manifest["recordings"])
-        labels = {name: tuple(values)
-                  for name, values in manifest["labels"].items()}
         feature_config = feature_config_from_json(manifest["features"])
-        context, combination = manifest["context"], manifest["combination"]
+        combination = manifest["combination"]
+        layout = combination_layout(combination, feature_config)
     except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed manifest {manifest_path} ({exc!r}); "
                         "re-run the extract command") from exc
@@ -200,9 +198,13 @@ def read_context_features(config: RunConfig, context: str) -> ContextData:
     for name in recordings:
         matrix = read_features(os.path.join(directory, f"{name}.feat"))
         targets = read_features(os.path.join(directory, f"{name}.targets"))
-        if targets.layout.block_names != class_order:
-            raise DataError(f"target container for {name!r} does not match "
-                            "the manifest class order")
+        if matrix.layout != layout:
+            raise DataError(f"features of {name!r} have the blocks "
+                            f"{matrix.layout.blocks}, not the manifest's "
+                            f"{layout.blocks}; re-run the extract command")
+        if targets.layout.blocks != tuple((c, 1) for c in class_order):
+            raise DataError(f"targets of {name!r} are not one column per "
+                            "class of the manifest; re-run the extract command")
         if matrix.frame_count != targets.frame_count:
             raise DataError(f"recording {name!r} has {matrix.frame_count} "
                             f"feature frames but {targets.frame_count} target "
@@ -213,7 +215,7 @@ def read_context_features(config: RunConfig, context: str) -> ContextData:
                                 class_order=class_order)
     return ContextData(context=context, combination=combination,
                        class_order=class_order, recordings=recordings,
-                       features=features, rolls=rolls, labels=labels,
+                       features=features, rolls=rolls,
                        feature_config=feature_config)
 
 
@@ -230,12 +232,12 @@ def fold_seed(config_seed: int, context: str, combination: str,
 
 
 def check_fold_coverage(data: ContextData, split: FoldSplit) -> None:
-    """Every class present in test recordings must occur in the training set."""
+    """Every class active in a frame of the test recordings must be active
+    in a frame of the training recordings."""
     def union(names):
-        seen = set()
-        for name in names:
-            seen.update(data.labels.get(name, ()))
-        return seen
+        return {label for name in names for label, active
+                in zip(data.class_order, data.rolls[name].activity.any(axis=0))
+                if active}
 
     uncovered = union(split.test) - union(split.train)
     if uncovered:
@@ -257,13 +259,17 @@ def train_fold(config: RunConfig, data: ContextData, split: FoldSplit,
                features: dict[str, FeatureMatrix] | None = None,
                combination: str | None = None) -> Checkpoint:
     """Scale, batch and train one fold on data's grid; return its checkpoint,
-    named and seeded by ``combination`` or else by its blocks' names."""
+    named and seeded by ``combination``, which must give the features'
+    layout, or else by its blocks' names."""
     features = features or data.features
+    layout = features[split.train[0]].layout
+    combination = combination or ";".join(layout.block_names)
+    if combination_layout(combination, data.feature_config) != layout:
+        raise ValueError(f"combination {combination!r} does not give the "
+                         f"feature layout {layout.blocks}")
     train_config = dataclasses.replace(config.train_config(),
                                        grid=data.feature_config.grid)
     scaler = fit_scaler([features[name] for name in split.train])
-    layout = features[split.train[0]].layout
-    combination = combination or ";".join(layout.block_names)
     batches = []
     for name in split.train:
         scaled = scaler.transform(features[name].values)
@@ -285,7 +291,7 @@ def train_fold(config: RunConfig, data: ContextData, split: FoldSplit,
     state = run_training(state, train_batch, validation, train_config)
     return Checkpoint(state=state, scaler=scaler,
                       class_order=data.class_order,
-                      combination=combination, layout=layout, split=split,
+                      combination=combination, split=split,
                       feature_config=data.feature_config,
                       sequence_length=train_config.sequence_length,
                       threshold=train_config.threshold,

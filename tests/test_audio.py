@@ -85,6 +85,12 @@ class TestWavCodec:
         with pytest.raises(AudioFormatError, match="zero-length"):
             decode_wav(path)
 
+    def test_zero_sample_rate_diagnostic(self, tmp_path):
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_bytes(b"\x00\x00" * 8, sample_rate=0))
+        with pytest.raises(AudioFormatError, match="sample rate 0"):
+            decode_wav(path)
+
 
 class TestFraming:
     def test_sample_counts_at_44100(self):

@@ -17,12 +17,14 @@ from binsed.tdoa import TdoaConfig
 from binsed.training import (Scaler, TrainConfig, fit_scaler,
                              init_train_state, run_training, split_sequences)
 
-LAYOUT = FeatureLayout((("mel_1", 2),))
 SPLIT = FoldSplit(fold_index=1, train=("r2", "r0"), validation=("r3",),
                   test=("r1",))
-# Non-default values in every nested config and tuple.
-FEATURES = FeatureConfig(grid=FrameGrid(hop_length_ms=10.0), pitch_f_min=80.0,
+# Non-default values in every nested config and tuple; two mel bands, so
+# "mel_1" is the two columns of LAYOUT.
+FEATURES = FeatureConfig(grid=FrameGrid(hop_length_ms=10.0), mel_bands=2,
+                         pitch_f_min=80.0,
                          tdoa=TdoaConfig(window_lengths_ms=(100.0, 300.0)))
+LAYOUT = FeatureLayout((("mel_1", 2),))
 
 
 def _edit_header(path, edit):
@@ -40,7 +42,7 @@ def _record(state, scaler):
     """A checkpoint of ``state`` with the settings and split it records."""
     return Checkpoint(state=state, scaler=scaler,
                       class_order=("dog", "car horn", "beep"),
-                      combination="mel_1", layout=LAYOUT, split=SPLIT,
+                      combination="mel_1", split=SPLIT,
                       feature_config=FEATURES, sequence_length=12,
                       threshold=0.375, seed=2 ** 40 + 3, context="metro hall")
 
@@ -201,7 +203,7 @@ class TestCorruption:
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_older_version_is_refused_with_advice_to_retrain(self, tmp_path,
                                                              version):
         path = tmp_path / f"v{version}.ckpt"
@@ -219,12 +221,13 @@ class TestCorruption:
         version, length = struct.unpack_from("<II", blob, 4)
         text = blob[12:12 + length].decode("utf-8")
         header = json.loads(text)
-        assert version == 5
+        assert version == 6
         assert text == json.dumps(header, sort_keys=True)
+        # No "layout": it is derived from the combination and settings.
         assert sorted(header) == [
             "adam_step", "arrays", "best_validation_er", "class_order",
             "combination", "context", "epoch", "epochs_since_improvement",
-            "features", "layer_sizes", "layout", "rng", "seed",
+            "features", "layer_sizes", "rng", "seed",
             "sequence_length", "split", "stopped", "threshold"]
         assert [(name, dtype) for name, dtype, _ in header["arrays"]] == [
             ("scaler_mean", "<f8"), ("scaler_std", "<f8"), ("params", "<f4"),
@@ -248,13 +251,20 @@ class TestCorruption:
 
     @pytest.mark.parametrize("key,value,message", [
         ("class_order", ["dog", "beep"], "layer sizes"),
-        ("layout", [["mel_1", 3]], "layer sizes"),
+        ("features.mel_bands", 3, "layer sizes"),
         ("layer_sizes", [2, 5, 3], "array 'params' has shape")])
     def test_header_that_does_not_fit_the_arrays(self, tmp_path, key, value,
                                                  message):
+        """``key`` is a dotted path into the header."""
         path = tmp_path / "unfit.ckpt"
         save_checkpoint(path, _checkpoint())
-        _edit_header(path, lambda header: header.update({key: value}))
+
+        def edit(header):
+            *parents, name = key.split(".")
+            for parent in parents:
+                header = header[parent]
+            header[name] = value
+        _edit_header(path, edit)
         with pytest.raises(DataError, match=message):
             load_checkpoint(path)
 

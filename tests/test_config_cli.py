@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import binsed
-from binsed.audio import FrameGrid, decode_wav
+from binsed import cli, features
+from binsed.audio import AudioClip, FrameGrid, decode_wav, encode_wav
 from binsed.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from binsed.cli import main
 from binsed.config import RunConfig, load_config, write_resolved_config
@@ -24,7 +25,8 @@ from binsed.metrics import SegmentCounts, score
 from binsed.pipeline import (ContextData, ablation_tokens,
                              check_fold_coverage, discover_recordings,
                              evaluate_context, extract_context, fold_seed,
-                             read_context_features, write_context_features)
+                             read_context_features, train_fold,
+                             write_context_features)
 from binsed.folds import FoldSplit, make_folds
 from binsed.tdoa import TdoaConfig
 from binsed.training import (Scaler, TrainConfig, detect_roll, fit_scaler,
@@ -93,7 +95,13 @@ class TestLoadConfig:
                                            {"mic_spacing_m": 0},
                                            {"pitch_f_min": 5000},
                                            {"pitch_f_min": 0},
-                                           {"log_floor": 0}])
+                                           {"log_floor": 0},
+                                           {"seed": -1},
+                                           {"synth_recordings": 0},
+                                           {"synth_recordings": -2},
+                                           {"synth_duration": 0},
+                                           {"synth_duration": -1.5},
+                                           {"synth_sample_rate": 0}])
     def test_validation_failures(self, overrides):
         with pytest.raises(UsageError):
             load_config(None, overrides)
@@ -185,10 +193,15 @@ class TestPipelineUnits:
         assert np.random.default_rng(again).integers(1 << 62) == base_draw
 
     def test_fold_coverage_requires_train_examples(self):
+        # r0 holds class a in its only frame, r1 holds a and b.
         data = ContextData(context="c", combination="mel_1",
                            class_order=("a", "b"), recordings=["r0", "r1"],
                            features={}, feature_config=FeatureConfig(),
-                           labels={"r0": ("a",), "r1": ("a", "b")})
+                           rolls={name: EventRoll(activity=np.array(
+                               [active], dtype=np.uint8),
+                               class_order=("a", "b"))
+                               for name, active in (("r0", [1, 0]),
+                                                    ("r1", [1, 1]))})
         good = FoldSplit(fold_index=0, train=("r1",), validation=(),
                          test=("r0",))
         check_fold_coverage(data, good)
@@ -197,6 +210,29 @@ class TestPipelineUnits:
         with pytest.raises(DataError, match="'b'"):
             check_fold_coverage(data, bad)
 
+    def test_fold_coverage_reads_the_targets(self, tmp_path):
+        """An annotation between two frame centres gives its class no frame,
+        so a fold that trains on it alone does not cover the class."""
+        rng = np.random.default_rng(0)
+        for name, lines in (("r0", "0.0\t0.5\ta\n0.101\t0.109\tb\n"),
+                            ("r1", "0.0\t0.5\ta\n0.5\t1.0\tb\n")):
+            for part in ("audio", "annotations"):
+                (tmp_path / "ctx" / part).mkdir(parents=True, exist_ok=True)
+            encode_wav(tmp_path / "ctx" / "audio" / f"{name}.wav",
+                       AudioClip(samples=rng.uniform(-0.5, 0.5, (2, 16000)),
+                                 sample_rate=16000))
+            (tmp_path / "ctx" / "annotations" / f"{name}.txt").write_text(lines)
+        config = load_config(None, {"data_root": str(tmp_path),
+                                    "features": "mel_1"})
+        data = extract_context(config, "ctx")
+        assert data.class_order == ("a", "b")
+        assert not data.rolls["r0"].activity[:, 1].any()
+        with pytest.raises(DataError, match=r"fold 0: test classes \['b'\]"):
+            check_fold_coverage(data, FoldSplit(fold_index=0, train=("r0",),
+                                                validation=(), test=("r1",)))
+        check_fold_coverage(data, FoldSplit(fold_index=1, train=("r1",),
+                                            validation=(), test=("r0",)))
+
     def test_evaluate_scores_one_second_segments_on_a_10ms_hop(self):
         # Each recording: 200 frames, reference active in frame 0 only,
         # scored against a model that answers "active" everywhere.  At the
@@ -204,7 +240,9 @@ class TestPipelineUnits:
         # 20 ms) a segment is 100 frames, so every recording has one
         # reference and one insertion.
         config = load_config(None, {"fold_count": 2, "features": "mel_1"})
-        hop_10ms = FeatureConfig(grid=FrameGrid(hop_length_ms=10.0))
+        # Two mel bands, so "mel_1" is the two columns of ``layout``.
+        hop_10ms = FeatureConfig(grid=FrameGrid(hop_length_ms=10.0),
+                                 mel_bands=2)
         names = [f"r{i}" for i in range(4)]
         layout = FeatureLayout((("mel_1", 2),))
         activity = np.zeros((200, 1), dtype=np.uint8)
@@ -216,8 +254,7 @@ class TestPipelineUnits:
                                        layout=layout) for n in names},
             feature_config=hop_10ms,
             rolls={n: EventRoll(activity=activity, class_order=("a",))
-                   for n in names},
-            labels={n: ("a",) for n in names})
+                   for n in names})
         state = init_train_state(2, 1, config.train_config(), seed=0)
         state.params_vector = np.zeros_like(state.params_vector)
         params = state.params
@@ -227,7 +264,6 @@ class TestPipelineUnits:
         checkpoints = {
             k: Checkpoint(state=state, scaler=fit_scaler([np.ones((3, 2))]),
                           class_order=("a",), combination="mel_1",
-                          layout=layout,
                           split=FoldSplit(fold_index=k, train=halves[1 - k],
                                           validation=(), test=halves[k]),
                           feature_config=hop_10ms, sequence_length=25,
@@ -603,7 +639,7 @@ class TestRunRecord:
                      "--out", str(out)]) == 2
         assert "re-run the extract command" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["no_labels", "no_recordings",
+    @pytest.mark.parametrize("damage", ["no_combination", "no_recordings",
                                         "truncated"])
     def test_malformed_manifest_is_refused(self, workspace, capsys, damage):
         out = _trained_copy(workspace, f"out_manifest_{damage}")
@@ -622,6 +658,52 @@ class TestRunRecord:
         err = capsys.readouterr().err
         assert f"malformed manifest {manifest_path}" in err
         assert "Traceback" not in err
+
+    def test_a_renamed_feature_directory_trains_under_its_new_name(
+            self, workspace, capsys):
+        out = workspace / "out_renamed"
+        shutil.copytree(workspace / "out" / "features" / "park",
+                        out / "features" / "yard")
+        capsys.readouterr()
+        assert main(["train", "--config", str(workspace / "run.json"),
+                     "--out", str(out), "--context", "yard"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and all(line.startswith("yard: ")
+                                       for line in lines)
+        assert os.listdir(out / "models") == ["yard"]
+        for fold in (0, 1):
+            ckpt = load_checkpoint(out / "models" / "yard" / f"fold{fold}.ckpt")
+            assert ckpt.context == "yard"
+        assert main(["evaluate", "--out", str(out), "--context", "yard"]) == 0
+
+    @pytest.mark.parametrize("name,combination", [
+        ("fewer", "mel_1"), ("more", "mel_1;tdoa;pitch_1"),
+        ("reordered", "tdoa;mel_1"), ("malformed", "mel_1;bogus")])
+    def test_manifest_that_does_not_name_the_feature_blocks_is_refused(
+            self, workspace, capsys, name, combination):
+        out = _trained_copy(workspace, f"out_blocks_{name}")
+        manifest_path = out / "features" / "park" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["combination"] = combination
+        manifest_path.write_text(json.dumps(manifest))
+        before = _tree(out)
+        for command in ("train", "evaluate"):
+            capsys.readouterr()
+            assert main([command, "--config", str(workspace / "run.json"),
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "re-run the extract command" in err
+            assert "Traceback" not in err
+        assert _tree(out) == before
+
+    def test_train_fold_refuses_a_combination_that_is_not_its_features(
+            self, workspace):
+        # The checkpoint would derive the same width in another column order.
+        config = load_config(workspace / "run.json")
+        data = read_context_features(config, "park")
+        split = make_folds(data.recordings, fold_count=2, seed=5)[0]
+        with pytest.raises(ValueError, match="does not give the feature"):
+            train_fold(config, data, split, combination="tdoa;mel_1")
 
     def test_detect_refuses_a_version_1_checkpoint(self, workspace, capsys):
         blob = bytearray((workspace / "out" / "models" / "park" /
@@ -655,7 +737,8 @@ class TestRunRecord:
         assert str(path) in err and "retrain" in err
 
     @pytest.mark.parametrize("name,combination", [
-        ("unknown", "mel_1;tdoa;bogus"), ("narrower", "mel_1")])
+        ("unknown", "mel_1;tdoa;bogus"), ("narrower", "mel_1"),
+        ("duplicate", "mel_1;mel_1"), ("empty", "")])
     def test_detect_refuses_a_combination_that_is_not_its_layout(
             self, workspace, capsys, name, combination):
         ckpt = load_checkpoint(workspace / "out" / "models" / "park" /
@@ -672,6 +755,66 @@ class TestRunRecord:
                          "rec000.wav")]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
+
+    def test_detect_refuses_other_feature_settings_before_decoding(
+            self, workspace, capsys, monkeypatch):
+        # The header's mel_bands no longer gives the width the model reads.
+        ckpt = load_checkpoint(workspace / "out" / "models" / "park" /
+                               "fold0.ckpt")
+        ckpt.feature_config = dataclasses.replace(ckpt.feature_config,
+                                                  mel_bands=24)
+        path = workspace / "mel_bands_24.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(DataError, match="layer sizes"):
+            load_checkpoint(path)
+
+        def decode(path):
+            raise AssertionError(f"decoded {path}")
+        monkeypatch.setattr(cli, "decode_wav", decode)
+        capsys.readouterr()
+        assert main(["detect", "--checkpoint", str(path), "--audio",
+                     str(workspace / "data" / "park" / "audio" /
+                         "rec000.wav")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "retrain" in err
+
+    def test_detect_refuses_a_wav_with_sample_rate_0(self, workspace, capsys):
+        blob = bytearray((workspace / "data" / "park" / "audio" /
+                          "rec000.wav").read_bytes())
+        assert blob[12:16] == b"fmt "
+        blob[24:28] = struct.pack("<I", 0)
+        wav = workspace / "rate0.wav"
+        wav.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["detect", "--checkpoint", str(workspace / "out" /
+                                                   "models" / "park" /
+                                                   "fold0.ckpt"),
+                     "--audio", str(wav)]) == 2
+        err = capsys.readouterr().err
+        assert "sample rate 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["renamed", "wide"])
+    def test_targets_that_are_not_the_manifest_classes_are_refused(
+            self, workspace, capsys, damage):
+        out = _trained_copy(workspace, f"out_targets_{damage}")
+        path = out / "features" / "park" / "rec001.targets"
+        targets = read_features(path)
+        names = targets.layout.block_names
+        if damage == "renamed":
+            layout = FeatureLayout(tuple((f"{n}!", 1) for n in names))
+            values = targets.values
+        else:
+            layout = FeatureLayout(tuple((n, 2) for n in names))
+            values = np.repeat(targets.values, 2, axis=1)
+        write_features(path, FeatureMatrix(values=values, layout=layout))
+        before = _tree(out)
+        capsys.readouterr()
+        assert main(["train", "--config", str(workspace / "run.json"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'rec001'" in err and "re-run the extract command" in err
+        assert "Traceback" not in err
+        assert _tree(out) == before
 
     def test_features_shorter_than_their_targets_are_refused(self, workspace,
                                                              capsys):
@@ -834,7 +977,7 @@ class TestCliErrors:
         ("learning_rate", float("nan")), ("beta2", float("nan")),
         ("gradient_clip", float("inf")), ("threshold", float("nan")),
         ("block_mix_ratio", float("inf")),
-        ("tdoa_windows_ms", [120.0, float("inf")])])
+        ("tdoa_windows_ms", [120.0, float("inf")]), ("seed", -1)])
     def test_settings_that_train_nonsense_are_refused(self, tmp_path, capsys,
                                                        key, value):
         # No data exists, so a run that got past the check would exit 2.
@@ -845,6 +988,44 @@ class TestCliErrors:
         assert main(["train", "--config", str(path)]) == 1
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,key", [
+        (["--recordings", "-2"], "synth_recordings"),
+        (["--recordings", "0"], "synth_recordings"),
+        (["--duration", "0"], "synth_duration"),
+        (["--sample-rate", "0"], "synth_sample_rate"),
+        (["--seed", "-1"], "seed")])
+    def test_synth_settings_that_render_nothing_are_refused(
+            self, tmp_path, capsys, flags, key):
+        assert main(["synth", "--context", "park",
+                     "--data-root", str(tmp_path / "data")] + flags) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pitch_above_nyquist_is_a_data_error(self, tmp_path, capsys,
+                                                 monkeypatch):
+        data = str(tmp_path / "data")
+        assert main(["synth", "--data-root", data, "--context", "low",
+                     "--recordings", "2", "--duration", "2",
+                     "--sample-rate", "6000", "--seed", "1"]) == 0
+
+        def extract(*flags):
+            capsys.readouterr()
+            code = main(["extract", "--data-root", data, "--context", "low",
+                         "--out", str(tmp_path / flags[-1].replace(";", "+"))]
+                        + list(flags))
+            return code, capsys.readouterr().err
+
+        # Refused before any STFT or TDOA work.
+        with monkeypatch.context() as patch:
+            for name in ("stft", "extract_tdoa"):
+                patch.setattr(features, name, lambda *a, **k: 1 / 0)
+            code, err = extract("--features", "mel_2;pitch_2")
+        assert code == 2
+        assert "pitch_f_max 4000.0 Hz" in err and "3000.0 Hz" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "mel_2+pitch_2").exists()
+        assert extract("--features", "mel_2;tdoa")[0] == 0
 
     def test_negative_learning_rate_flag_is_refused(self, tmp_path, capsys):
         assert main(["train", "--context", "park", "--learning-rate", "-0.003",

@@ -7,7 +7,8 @@ from binsed.audio import AudioClip, FrameGrid
 from binsed.container import read_features, write_features
 from binsed.errors import DataError
 from binsed.features import (ABLATION_COMBINATIONS, FeatureConfig,
-                             assemble_features, combination_width,
+                             assemble_features, combination_layout,
+                             combination_width,
                              extract_block_values, feature_config_from_json,
                              feature_config_to_json, parse_combination)
 from binsed.layout import FeatureLayout, FeatureMatrix
@@ -178,3 +179,21 @@ class TestAssembly:
         fm = assemble_features(clip, "mel_2;tdoa", config)
         assert fm.width == 45
         assert combination_width("mel_2;tdoa", config) == 45
+
+    def test_extracted_layout_is_the_combination_layout(self):
+        config = FeatureConfig(mel_bands=8, tdoa=TdoaConfig(band_count=3))
+        layout = combination_layout("tdoa3;mel_1; pitch_2", config)
+        assert layout.blocks == (("tdoa3", 9), ("mel_1", 8), ("pitch_2", 4))
+        matrix = extract_block_values(_stereo_clip(),
+                                      ["tdoa3", "mel_1", "pitch_2"], config)
+        assert matrix.layout == layout
+
+    @pytest.mark.parametrize("tokens", [["mel_1", "pitch_1"],
+                                        ["tdoa", "pitch3_2"]])
+    def test_pitch_above_nyquist_is_a_data_error(self, tokens):
+        clip = _stereo_clip(sample_rate=6000)
+        with pytest.raises(DataError, match="pitch_f_max 4000.0 Hz .* 3000.0"):
+            extract_block_values(clip, tokens)
+        config = FeatureConfig(pitch_f_max=3000.0)
+        assert extract_block_values(clip, tokens, config).frame_count > 0
+        assert extract_block_values(clip, ["mel_2", "tdoa"]).frame_count > 0
