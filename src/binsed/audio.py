@@ -1,15 +1,16 @@
 """Audio ingestion, framing and the short-time Fourier transform.
 
-The WAV codec is deliberately minimal: uncompressed RIFF/WAVE PCM at 16 or
-24 bits, one or two channels.  Samples are normalised to [-1, 1) floats by
-dividing by 2**(bits-1), which makes decode -> encode -> decode bit-exact.
+The WAV codec is deliberately minimal: it reads uncompressed RIFF/WAVE PCM
+at 16 or 24 bits, one or two channels, and writes 16-bit PCM.  Samples are
+normalised to [-1, 1) floats by dividing by 2**(bits-1), which makes 16-bit
+decode -> encode -> decode bit-exact.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +43,6 @@ class AudioClip:
     @property
     def sample_count(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def duration(self) -> float:
-        return self.sample_count / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -84,8 +81,6 @@ class Spectrogram:
     bins: np.ndarray
     fft_size: int
     sample_rate: int
-    grid: FrameGrid = field(default_factory=FrameGrid)
-    channel_index: int = 0
 
     @property
     def frame_count(self) -> int:
@@ -116,22 +111,18 @@ def _frame_signal(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
     return view[:: hop][:count]
 
 
-def stft(clip: AudioClip, grid: FrameGrid | None = None,
-         fft_size: int | None = None) -> tuple[Spectrogram, ...]:
+def stft(clip: AudioClip, grid: FrameGrid | None = None) -> tuple[Spectrogram, ...]:
     """Windowed one-sided STFT, one Spectrogram per channel.
 
     Frames are multiplied by a periodic Hamming window and zero-padded on the
-    right to ``fft_size`` (default: next power of two above the frame length).
+    right to the next power of two above the frame length.
     """
     grid = grid or FrameGrid()
     frame = grid.frame_samples(clip.sample_rate)
     hop = grid.hop_samples(clip.sample_rate)
     if clip.sample_count < frame:
         raise DataError("clip is shorter than one analysis frame")
-    if fft_size is None:
-        fft_size = next_pow2(frame)
-    if fft_size < frame:
-        raise ValueError("fft_size must be at least the frame length")
+    fft_size = next_pow2(frame)
     window = periodic_hamming(frame)
     out = []
     for ch in range(clip.channel_count):
@@ -142,8 +133,7 @@ def stft(clip: AudioClip, grid: FrameGrid | None = None,
             bins[start:start + chunk] = np.fft.rfft(frames[start:start + chunk],
                                                     n=fft_size, axis=1)
         out.append(Spectrogram(bins=bins, fft_size=fft_size,
-                               sample_rate=clip.sample_rate, grid=grid,
-                               channel_index=ch))
+                               sample_rate=clip.sample_rate))
     return tuple(out)
 
 
@@ -233,29 +223,15 @@ def decode_wav(path: str | os.PathLike) -> AudioClip:
     return AudioClip(samples=samples, sample_rate=sample_rate)
 
 
-def encode_wav(path: str | os.PathLike, clip: AudioClip, bits: int = 16) -> None:
-    """Write an AudioClip as PCM WAV.  The write is atomic (tmp + rename)."""
-    if bits not in (16, 24):
-        raise ValueError("bits must be 16 or 24")
-    full_scale = 1 << (bits - 1)
-    scaled = np.rint(clip.samples * full_scale)
-    scaled = np.clip(scaled, -full_scale, full_scale - 1).astype(np.int64)
-    interleaved = scaled.T.reshape(-1)
-    if bits == 16:
-        payload = interleaved.astype("<i2").tobytes()
-    else:
-        u = (interleaved & 0xFFFFFF).astype(np.uint32)
-        raw = np.empty((len(u), 3), dtype=np.uint8)
-        raw[:, 0] = u & 0xFF
-        raw[:, 1] = (u >> 8) & 0xFF
-        raw[:, 2] = (u >> 16) & 0xFF
-        payload = raw.tobytes()
+def encode_wav(path: str | os.PathLike, clip: AudioClip) -> None:
+    """Write an AudioClip as 16-bit PCM WAV; the write is atomic (tmp + rename)."""
+    scaled = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767)
+    payload = scaled.T.astype("<i2").tobytes()
     channels = clip.channel_count
-    bytes_per_sample = bits // 8
-    block_align = channels * bytes_per_sample
+    block_align = channels * 2
     byte_rate = clip.sample_rate * block_align
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, _WAVE_FORMAT_PCM, channels,
-                                    clip.sample_rate, byte_rate, block_align, bits)
+                                    clip.sample_rate, byte_rate, block_align, 16)
     header += b"data" + struct.pack("<I", len(payload))
     atomic_write_bytes(path, header + payload)

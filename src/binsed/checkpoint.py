@@ -1,12 +1,13 @@
 """Checkpoint serialisation.
 
 A checkpoint freezes everything needed to run detection (best parameters,
-scaler, class order, feature combination and settings, sequence length,
-threshold), to score its fold (the split), to name the run that trained it
-(the seed and context, which with the combination and fold index give its
-``fold_seed``) and to resume training bit-exactly from an epoch boundary
-(current parameters, Adam moments, early-stopping counters, RNG state,
-history).  Its layout is derived from the combination and feature settings.
+scaler, class order, feature combination and settings, the sample rate its
+features were extracted at, sequence length, threshold), to score its fold
+(the split), to name the run that trained it (the seed and context, which
+with the combination and fold index give its ``fold_seed``) and to resume
+training bit-exactly from an epoch boundary (current parameters, Adam
+moments, early-stopping counters, RNG state, history).  Its layout is
+derived from the combination and feature settings.
 
 It is a ``container`` record, magic ``BSC1``: the settings, counters and PCG64
 state in the JSON header; the scaler, parameters, Adam moments, history and
@@ -32,9 +33,10 @@ from .layout import FeatureLayout
 from .training import AdamState, EpochRecord, Scaler, TrainState
 
 MAGIC = b"BSC1"
-VERSION = 6
+VERSION = 7
 # Header entries stored as they are on the Checkpoint and on its TrainState.
-_SETTINGS = ("combination", "context", "seed", "sequence_length", "threshold")
+_SETTINGS = ("combination", "context", "sample_rate", "seed",
+             "sequence_length", "threshold")
 _COUNTERS = ("epoch", "epochs_since_improvement", "stopped")
 
 
@@ -50,6 +52,7 @@ class Checkpoint:
     threshold: float
     seed: int
     context: str
+    sample_rate: int
 
     @property
     def layout(self) -> FeatureLayout:

@@ -111,15 +111,18 @@ def _read_extracted(args: argparse.Namespace
     """Read every context's extracted features and resolve the config to the
     combination and feature settings they were extracted with.
 
-    Contexts extracted with different ones are a data error.
+    Contexts extracted with different ones, or at different sample rates,
+    are a data error.
     """
     config = _resolve_config(args)
     contexts = _require_contexts(config)
     extracted = [read_context_features(config, c) for c in contexts]
-    if len({(d.combination, d.feature_config) for d in extracted}) > 1:
+    if len({(d.combination, d.feature_config, d.sample_rate)
+            for d in extracted}) > 1:
         raise DataError("contexts were extracted with different feature "
-                        "combinations or settings: " + ", ".join(
-                            f"{context} ({data.combination})"
+                        "combinations, settings or sample rates: " + ", ".join(
+                            f"{context} ({data.combination}) at "
+                            f"{data.sample_rate} Hz"
                             for context, data in zip(contexts, extracted)))
     config = config.with_feature_config(extracted[0].feature_config)
     return (dataclasses.replace(config, features=extracted[0].combination),
@@ -179,6 +182,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_detect(args: argparse.Namespace) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     clip = decode_wav(args.audio)
+    if clip.sample_rate != checkpoint.sample_rate:
+        raise DataError(f"{args.audio} is sampled at {clip.sample_rate} Hz, "
+                        f"but the model in {args.checkpoint} was trained at "
+                        f"{checkpoint.sample_rate} Hz")
     features = assemble_features(clip, checkpoint.combination,
                                  checkpoint.feature_config)
     roll = detect_roll(checkpoint.state.best_params, checkpoint.scaler,

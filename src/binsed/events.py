@@ -29,10 +29,6 @@ class EventList:
     recording: str = ""
     context: str = ""
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(sorted({e.label for e in self.events}))
-
 
 @dataclass
 class EventRoll:
@@ -107,8 +103,7 @@ def rasterize(events: EventList, frame_count: int,
     return EventRoll(activity=activity, class_order=tuple(class_order))
 
 
-def roll_to_events(roll: EventRoll, grid: FrameGrid | None = None,
-                   recording: str = "") -> EventList:
+def roll_to_events(roll: EventRoll, grid: FrameGrid | None = None) -> EventList:
     """Contiguous active runs back to events.
 
     Each run spans the hop-length cells centred on its active frames, so
@@ -126,4 +121,4 @@ def roll_to_events(roll: EventRoll, grid: FrameGrid | None = None,
             offset = grid.frame_center_seconds(int(stop) - 1) + half
             events.append(Event(onset=onset, offset=offset, label=label))
     events.sort(key=lambda e: (e.onset, e.offset, e.label))
-    return EventList(events=events, recording=recording)
+    return EventList(events=events)

@@ -10,11 +10,12 @@ subscript.  Per-channel widths: mel 40, pitch 2, pitch3 6, tdoa 5, tdoa3 15.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .audio import AudioClip, FrameGrid, Spectrogram, downmix_to_mono, next_pow2, stft
+from .audio import AudioClip, FrameGrid, Spectrogram, downmix_to_mono, stft
 from .errors import DataError
 from .layout import FeatureLayout, FeatureMatrix
 from .melbank import MelFilterbank, build_mel_filterbank, extract_log_mel
@@ -147,15 +148,19 @@ def extract_block_values(clip: AudioClip, tokens: list[str],
                                             for s in specs):
         raise DataError(f"pitch_f_max {config.pitch_f_max} Hz exceeds the "
                         f"recording's Nyquist frequency {nyquist} Hz")
-
-    fft_size = next_pow2(config.grid.frame_samples(clip.sample_rate))
+    # A rounded hop would shift every frame from the time its index gives.
+    hop = config.grid.hop_length_ms * clip.sample_rate / 1000.0
+    if not math.isclose(hop, round(hop)):
+        raise DataError(f"a {config.grid.hop_length_ms} ms hop at "
+                        f"{clip.sample_rate} Hz is {hop} samples, not a "
+                        "whole number")
 
     @functools.cache
     def spectra(channels: int) -> tuple[Spectrogram, ...]:
         if channels == 2:
-            return stft(clip, config.grid, fft_size)
+            return stft(clip, config.grid)
         mono = downmix_to_mono(clip) if clip.channel_count == 2 else clip
-        return stft(mono, config.grid, fft_size)
+        return stft(mono, config.grid)
 
     # A pitch block is the first (frequency, periodicity) pair of pitch3, so
     # one top-3 pass per spectrum serves both.
@@ -165,7 +170,6 @@ def extract_block_values(clip: AudioClip, tokens: list[str],
                              f_min=config.pitch_f_min, f_max=config.pitch_f_max,
                              threshold=config.pitch_threshold).values
 
-    filterbank = _mel_filterbank(config.mel_bands, fft_size, clip.sample_rate)
     delays: dict[str, np.ndarray] = {}
     if any(s.family in _STEREO_FAMILIES for s in specs):
         # Both delay variants come from one (frames, windows, bands) stack.
@@ -181,6 +185,8 @@ def extract_block_values(clip: AudioClip, tokens: list[str],
         # Per-channel blocks: left columns first, then right.
         for channel, ch_spec in enumerate(spectra(spec.channels)):
             if spec.family == "mel":
+                filterbank = _mel_filterbank(config.mel_bands, ch_spec.fft_size,
+                                             ch_spec.sample_rate)
                 columns.append(extract_log_mel(ch_spec, filterbank,
                                                floor=config.log_floor).values)
             else:

@@ -80,9 +80,9 @@ def _vector_size(layer_sizes: tuple[int, ...]) -> int:
     return size + layer_sizes[-1] * (layer_sizes[-2] + 1)
 
 
-def init_params(layer_sizes: tuple[int, ...], rng: np.random.Generator,
-                forget_bias: float = 1.0) -> NetworkParams:
-    """Uniform +-1/sqrt(fan_in) weights, zero biases except the forget gate.
+def init_params(layer_sizes: tuple[int, ...],
+                rng: np.random.Generator) -> NetworkParams:
+    """Uniform +-1/sqrt(fan_in) weights, zero biases but the forget gate's 1s.
 
     ``layer_sizes`` runs input, hidden..., classes — e.g. (89, 32, 32, 3).
     The draws fill w_input then w_recurrent per layer, then w_out.
@@ -94,7 +94,7 @@ def init_params(layer_sizes: tuple[int, ...], rng: np.random.Generator,
     params = vector_to_params(np.zeros(_vector_size(layer_sizes)), layer_sizes)
     for layer in params.layers:
         hidden = layer.hidden_size
-        layer.bias[hidden:2 * hidden] = forget_bias
+        layer.bias[hidden:2 * hidden] = 1.0
     matrices = [weights for layer in params.layers
                 for weights in (layer.w_input, layer.w_recurrent)]
     for weights in matrices + [params.w_out]:

@@ -32,28 +32,18 @@ class MelFilterbank:
     def band_count(self) -> int:
         return self.weights.shape[0]
 
-    def band_support_hz(self, band: int) -> tuple[float, float]:
-        """Frequency interval over which a band has non-zero response."""
-        return float(self.edges_hz[band]), float(self.edges_hz[band + 2])
 
-
-def build_mel_filterbank(band_count: int, fft_size: int, sample_rate: int,
-                         f_min: float = 0.0,
-                         f_max: float | None = None) -> MelFilterbank:
+def build_mel_filterbank(band_count: int, fft_size: int,
+                         sample_rate: int) -> MelFilterbank:
     """Equally mel-spaced triangular filterbank with unit peak response.
 
     Triangle b rises from edge b to edge b+1 and falls to edge b+2, with the
-    band_count + 2 edges equally spaced on the mel scale between f_min and
-    f_max (default: Nyquist).
+    band_count + 2 edges equally spaced on the mel scale between 0 Hz and
+    Nyquist, so band b responds on (edges_hz[b], edges_hz[b + 2]).
     """
     if band_count <= 0:
         raise ValueError("band_count must be positive")
-    if f_max is None:
-        f_max = sample_rate / 2.0
-    if not 0.0 <= f_min < f_max <= sample_rate / 2.0 + 1e-9:
-        raise ValueError(f"bad frequency range [{f_min}, {f_max}] "
-                         f"for sample rate {sample_rate}")
-    edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max),
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0),
                                   band_count + 2))
     bin_freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
     weights = np.zeros((band_count, fft_size // 2 + 1))

@@ -9,7 +9,8 @@ Run artefacts land under the output directory::
 
     <out>/features/<context>/<recording>.feat / .targets (+ optional .csv)
     <out>/features/<context>/manifest.json       (recordings, combination,
-                                                  class order, FeatureConfig)
+                                                  class order, sample rate,
+                                                  FeatureConfig)
     <out>/models/<context>/fold<k>.ckpt / fold<k>.log   (.ckpt: split, settings)
     <out>/evaluation/results.json / results.txt
     <out>/ablation/table.txt / table.json
@@ -17,7 +18,9 @@ Run artefacts land under the output directory::
     <out>/config.json
 
 Each fact is recorded once: the directory names the context, ``.targets``
-the classes of each recording, ``combination_layout`` every layout.
+the classes of each recording, ``combination_layout`` every layout.  Every
+recording of a context has one sample rate, which the manifest and each
+checkpoint record: features and models follow the rate they were made at.
 
 ``train_runs`` trains every fold of a ``train`` or ``ablate`` command on one
 pool of forked processes, writes each fold's files in job order and then
@@ -94,6 +97,7 @@ class ContextData:
     recordings: list[str]
     features: dict[str, FeatureMatrix]
     feature_config: FeatureConfig
+    sample_rate: int
     rolls: dict[str, EventRoll] = field(default_factory=dict)
 
 
@@ -110,7 +114,8 @@ def extract_context(config: RunConfig, context: str,
 
     ``tokens`` replaces ``config.features`` as the extracted block set (the
     ablation grid extracts its widest set once).  The recorded combination
-    names the extracted blocks, so it always matches the columns.
+    names the extracted blocks, so it always matches the columns.  A
+    recording at another sample rate than the first is a DataError.
     """
     wanted = list(tokens) if tokens else \
         [s.token for s in parse_combination(config.features)]
@@ -124,6 +129,13 @@ def extract_context(config: RunConfig, context: str,
     rolls: dict[str, EventRoll] = {}
     for recording in recordings:
         clip = decode_wav(recording.wav_path)
+        if recording is recordings[0]:
+            sample_rate = clip.sample_rate
+        elif clip.sample_rate != sample_rate:
+            raise DataError(f"recordings of context {context!r} differ in "
+                            f"sample rate: {recordings[0].name!r} is at "
+                            f"{sample_rate} Hz, {recording.name!r} at "
+                            f"{clip.sample_rate} Hz")
         matrix = extract_block_values(clip, wanted, feature_config)
         features[recording.name] = matrix
         rolls[recording.name] = rasterize(event_lists[recording.name],
@@ -134,7 +146,7 @@ def extract_context(config: RunConfig, context: str,
                        class_order=class_order,
                        recordings=[r.name for r in recordings],
                        features=features, feature_config=feature_config,
-                       rolls=rolls)
+                       sample_rate=sample_rate, rolls=rolls)
 
 
 def select_combination(data: ContextData, combination: str,
@@ -170,6 +182,7 @@ def write_context_features(config: RunConfig, data: ContextData) -> None:
         "combination": data.combination,
         "recordings": data.recordings,
         "class_order": list(data.class_order),
+        "sample_rate": data.sample_rate,
         "features": feature_config_to_json(data.feature_config),
     }
     atomic_write_bytes(os.path.join(directory, "manifest.json"),
@@ -190,6 +203,9 @@ def read_context_features(config: RunConfig, context: str) -> ContextData:
         feature_config = feature_config_from_json(manifest["features"])
         combination = manifest["combination"]
         layout = combination_layout(combination, feature_config)
+        sample_rate = manifest["sample_rate"]
+        if type(sample_rate) is not int or sample_rate <= 0:
+            raise ValueError(f"sample rate {sample_rate!r}")
     except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed manifest {manifest_path} ({exc!r}); "
                         "re-run the extract command") from exc
@@ -216,7 +232,7 @@ def read_context_features(config: RunConfig, context: str) -> ContextData:
     return ContextData(context=context, combination=combination,
                        class_order=class_order, recordings=recordings,
                        features=features, rolls=rolls,
-                       feature_config=feature_config)
+                       feature_config=feature_config, sample_rate=sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +311,8 @@ def train_fold(config: RunConfig, data: ContextData, split: FoldSplit,
                       feature_config=data.feature_config,
                       sequence_length=train_config.sequence_length,
                       threshold=train_config.threshold,
-                      seed=config.seed, context=data.context)
+                      seed=config.seed, context=data.context,
+                      sample_rate=data.sample_rate)
 
 
 def models_dir(config: RunConfig, context: str) -> str:
@@ -436,10 +453,13 @@ def evaluate_context(config: RunConfig, data: ContextData,
                         "checkpoints left from another run")
     per_fold = []
     for checkpoint in folds:
-        if checkpoint.feature_config != data.feature_config:
+        if (checkpoint.feature_config, checkpoint.sample_rate) \
+                != (data.feature_config, data.sample_rate):
             raise DataError(f"fold {checkpoint.split.fold_index} in {directory} "
                             "was trained on features extracted with other "
-                            f"settings than those of context {data.context!r}")
+                            "settings or at another sample rate "
+                            f"({checkpoint.sample_rate} Hz) than those of "
+                            f"context {data.context!r} ({data.sample_rate} Hz)")
         sample = features[checkpoint.split.test[0]]
         if checkpoint.layout.blocks != sample.layout.blocks:
             raise DataError(

@@ -16,7 +16,7 @@ e.g. ``dog 0-1 +6 2.0 4.5 noise`` or ``beep 2-4 -3 1.0 3.0 tone 440``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class SynthClass:
 class SyntheticScene:
     clip: AudioClip
     truth: EventList
-    plan: tuple[PlannedEvent, ...] = field(default_factory=tuple)
 
 
 def _merge_truth(plan: list[PlannedEvent]) -> list[Event]:
@@ -193,7 +192,7 @@ def synthesize_scene(plan: list[PlannedEvent], duration: float,
     clip = AudioClip(samples=buffers, sample_rate=sample_rate)
     truth = EventList(events=_merge_truth(list(plan)), recording=recording,
                       context=context)
-    return SyntheticScene(clip=clip, truth=truth, plan=tuple(plan))
+    return SyntheticScene(clip=clip, truth=truth)
 
 
 def parse_scene_plan(path) -> list[PlannedEvent]:
@@ -249,13 +248,13 @@ def random_scene_plan(classes: list[SynthClass], duration: float,
 
 
 def write_scene(scene: SyntheticScene, data_root, context: str,
-                recording: str, bits: int = 16) -> None:
+                recording: str) -> None:
     """Write a scene as ``<root>/<context>/audio/<rec>.wav`` plus annotations."""
     audio_dir = os.path.join(os.fspath(data_root), context, "audio")
     ann_dir = os.path.join(os.fspath(data_root), context, "annotations")
     os.makedirs(audio_dir, exist_ok=True)
     os.makedirs(ann_dir, exist_ok=True)
-    encode_wav(os.path.join(audio_dir, f"{recording}.wav"), scene.clip, bits=bits)
+    encode_wav(os.path.join(audio_dir, f"{recording}.wav"), scene.clip)
     lines = [f"{e.onset:.3f}\t{e.offset:.3f}\t{e.label}"
              for e in scene.truth.events]
     atomic_write_bytes(os.path.join(ann_dir, f"{recording}.txt"),

@@ -300,13 +300,11 @@ def tdoa_window_spectrograms(clip: AudioClip, window_length_ms: float,
     fft_size = next_pow2(window_length + 2 * max_lag + 1)
     padded = np.pad(clip.samples, ((0, 0), (window_length, window_length)))
     specs = []
-    for ch, segments in enumerate(_segments(padded, window_length,
-                                            window_length, frame_count,
-                                            clip.sample_rate, grid)):
+    for segments in _segments(padded, window_length, window_length,
+                              frame_count, clip.sample_rate, grid):
         bins = np.fft.rfft(segments, n=fft_size, axis=1)
         specs.append(Spectrogram(bins=bins, fft_size=fft_size,
-                                 sample_rate=clip.sample_rate, grid=grid,
-                                 channel_index=ch))
+                                 sample_rate=clip.sample_rate))
     return specs[0], specs[1]
 
 

@@ -220,7 +220,6 @@ class TrainConfig:
     sequence_length: int = 25
     block_mix_ratio: float = 1.0
     threshold: float = 0.5
-    forget_bias: float = 1.0
     target_validation_er: float | None = None
     grid: FrameGrid = field(default_factory=FrameGrid)   # sets segment length
 
@@ -265,7 +264,7 @@ def init_train_state(input_size: int, class_count: int, config: TrainConfig,
     are rounded to float32, the dtype the network trains in."""
     rng = np.random.default_rng(seed)
     layer_sizes = (input_size, *config.hidden_sizes, class_count)
-    params = init_params(layer_sizes, rng, forget_bias=config.forget_bias)
+    params = init_params(layer_sizes, rng)
     vector = params_to_vector(params).astype(np.float32)
     return TrainState(layer_sizes=layer_sizes, params_vector=vector,
                       adam=adam_init(vector.size), rng=rng)

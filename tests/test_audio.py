@@ -48,16 +48,15 @@ class TestWavCodec:
         assert np.allclose(clip.samples[0] * 32768, [100, 200, 300])
         assert np.allclose(clip.samples[1] * 32768, [-100, -200, -300])
 
-    @pytest.mark.parametrize("bits", [16, 24])
-    def test_roundtrip_bit_exact(self, tmp_path, bits):
+    def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
         clip = AudioClip(samples=rng.uniform(-0.9, 0.9, size=(2, 333)),
                          sample_rate=44100)
         first = tmp_path / "a.wav"
         second = tmp_path / "b.wav"
-        encode_wav(first, clip, bits=bits)
+        encode_wav(first, clip)
         decoded = decode_wav(first)
-        encode_wav(second, decoded, bits=bits)
+        encode_wav(second, decoded)
         redecoded = decode_wav(second)
         assert np.array_equal(decoded.samples, redecoded.samples)
         assert first.read_bytes() == second.read_bytes()
@@ -171,9 +170,10 @@ class TestStft:
         clip = AudioClip(samples=samples, sample_rate=16000)
         both = stft(clip)
         left = stft(AudioClip(samples=samples[:1], sample_rate=16000))[0]
-        assert both[0].channel_index == 0
-        assert both[1].channel_index == 1
+        right = stft(AudioClip(samples=samples[1:], sample_rate=16000))[0]
+        assert len(both) == 2
         assert np.array_equal(both[0].bins, left.bins)
+        assert np.array_equal(both[1].bins, right.bins)
 
     def test_clip_shorter_than_frame_rejected(self):
         clip = AudioClip(samples=np.zeros((1, 639)), sample_rate=16000)
@@ -209,7 +209,3 @@ class TestAudioClip:
             AudioClip(samples=np.zeros(10), sample_rate=8000)
         with pytest.raises(ValueError):
             AudioClip(samples=np.zeros((1, 10)), sample_rate=0)
-
-    def test_duration(self):
-        clip = AudioClip(samples=np.zeros((1, 8000)), sample_rate=16000)
-        assert clip.duration == pytest.approx(0.5)

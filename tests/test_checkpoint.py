@@ -44,7 +44,8 @@ def _record(state, scaler):
                       class_order=("dog", "car horn", "beep"),
                       combination="mel_1", split=SPLIT,
                       feature_config=FEATURES, sequence_length=12,
-                      threshold=0.375, seed=2 ** 40 + 3, context="metro hall")
+                      threshold=0.375, seed=2 ** 40 + 3, context="metro hall",
+                      sample_rate=22050)
 
 
 def _checkpoint(seed=0, with_history=True):
@@ -78,6 +79,7 @@ class TestRoundTrip:
         assert loaded.threshold == 0.375
         assert loaded.seed == 2 ** 40 + 3
         assert loaded.context == "metro hall"
+        assert loaded.sample_rate == 22050
         a, b = original.state, loaded.state
         assert b.layer_sizes == a.layer_sizes
         assert np.array_equal(b.params_vector, a.params_vector)
@@ -203,7 +205,7 @@ class TestCorruption:
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_older_version_is_refused_with_advice_to_retrain(self, tmp_path,
                                                              version):
         path = tmp_path / f"v{version}.ckpt"
@@ -221,13 +223,14 @@ class TestCorruption:
         version, length = struct.unpack_from("<II", blob, 4)
         text = blob[12:12 + length].decode("utf-8")
         header = json.loads(text)
-        assert version == 6
+        assert version == 7
         assert text == json.dumps(header, sort_keys=True)
         # No "layout": it is derived from the combination and settings.
+        assert header["sample_rate"] == 22050
         assert sorted(header) == [
             "adam_step", "arrays", "best_validation_er", "class_order",
             "combination", "context", "epoch", "epochs_since_improvement",
-            "features", "layer_sizes", "rng", "seed",
+            "features", "layer_sizes", "rng", "sample_rate", "seed",
             "sequence_length", "split", "stopped", "threshold"]
         assert [(name, dtype) for name, dtype, _ in header["arrays"]] == [
             ("scaler_mean", "<f8"), ("scaler_std", "<f8"), ("params", "<f4"),

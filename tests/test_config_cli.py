@@ -197,6 +197,7 @@ class TestPipelineUnits:
         data = ContextData(context="c", combination="mel_1",
                            class_order=("a", "b"), recordings=["r0", "r1"],
                            features={}, feature_config=FeatureConfig(),
+                           sample_rate=16000,
                            rolls={name: EventRoll(activity=np.array(
                                [active], dtype=np.uint8),
                                class_order=("a", "b"))
@@ -252,7 +253,7 @@ class TestPipelineUnits:
             recordings=names,
             features={n: FeatureMatrix(values=np.zeros((200, 2)),
                                        layout=layout) for n in names},
-            feature_config=hop_10ms,
+            feature_config=hop_10ms, sample_rate=16000,
             rolls={n: EventRoll(activity=activity, class_order=("a",))
                    for n in names})
         state = init_train_state(2, 1, config.train_config(), seed=0)
@@ -267,7 +268,8 @@ class TestPipelineUnits:
                           split=FoldSplit(fold_index=k, train=halves[1 - k],
                                           validation=(), test=halves[k]),
                           feature_config=hop_10ms, sequence_length=25,
-                          threshold=0.5, seed=config.seed, context="c")
+                          threshold=0.5, seed=config.seed, context="c",
+                          sample_rate=16000)
             for k in (0, 1)}
         report, per_fold = evaluate_context(config, data,
                                             checkpoints=checkpoints)
@@ -640,7 +642,7 @@ class TestRunRecord:
         assert "re-run the extract command" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["no_combination", "no_recordings",
-                                        "truncated"])
+                                        "no_sample_rate", "truncated"])
     def test_malformed_manifest_is_refused(self, workspace, capsys, damage):
         out = _trained_copy(workspace, f"out_manifest_{damage}")
         manifest_path = out / "features" / "park" / "manifest.json"
@@ -1038,6 +1040,144 @@ class TestCliErrors:
         wav.write_bytes(b"RIFF")
         assert main(["detect", "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--audio", str(wav)]) == 2
+
+
+def _synth(data_root, context, rate, seed, recordings=1):
+    assert main(["synth", "--data-root", str(data_root), "--context", context,
+                 "--recordings", str(recordings), "--duration", "2",
+                 "--sample-rate", str(rate), "--seed", str(seed)]) == 0
+    return data_root / context
+
+
+class TestSampleRates:
+    """Features and models follow the sample rate they were made at, so
+    recordings and models at other rates are refused, never resampled."""
+
+    @pytest.mark.parametrize("command", ["extract", "ablate"])
+    def test_a_context_of_mixed_sample_rates_is_refused(
+            self, tmp_path, capsys, command):
+        mixed = _synth(tmp_path / "data", "mixed", 16000, 1, recordings=2)
+        odd = _synth(tmp_path / "data44", "mixed", 44100, 2)
+        for part, suffix in (("audio", ".wav"), ("annotations", ".txt")):
+            shutil.copy(odd / part / f"rec000{suffix}",
+                        mixed / part / f"rec002{suffix}")
+        grid = ["--combinations", "mel_1"] if command == "ablate" else []
+        capsys.readouterr()
+        assert main([command, "--data-root", str(tmp_path / "data"),
+                     "--context", "mixed", "--out", str(tmp_path / "out")]
+                    + grid) == 2
+        err = capsys.readouterr().err
+        assert "'rec000' is at 16000 Hz, 'rec002' at 44100 Hz" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_contexts_extracted_at_different_rates_are_refused(
+            self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for context, rate in (("slow", 16000), ("fast", 22050)):
+            _synth(tmp_path / "data", context, rate, 3, recordings=3)
+            assert main(["extract", "--data-root", str(tmp_path / "data"),
+                         "--context", context, "--out", str(out),
+                         "--features", "mel_1"]) == 0
+        manifest = json.loads((out / "features" / "fast" /
+                               "manifest.json").read_text())
+        assert manifest["sample_rate"] == 22050
+        before = _tree(out)
+        for command in ("train", "evaluate"):
+            capsys.readouterr()
+            assert main([command, "--out", str(out), "--context", "slow",
+                         "--context", "fast"]) == 2
+            err = capsys.readouterr().err
+            assert "slow (mel_1) at 16000 Hz" in err
+            assert "fast (mel_1) at 22050 Hz" in err
+        assert _tree(out) == before
+
+    def test_detect_refuses_a_clip_at_another_rate(self, workspace, tmp_path,
+                                                   capsys, monkeypatch):
+        clip = _synth(tmp_path / "data", "park", 44100, 5) / "audio" / "rec000.wav"
+        monkeypatch.setattr(cli, "assemble_features",
+                            lambda *a, **k: 1 / 0)
+        capsys.readouterr()
+        assert main(["detect", "--checkpoint", str(workspace / "out" /
+                                                   "models" / "park" /
+                                                   "fold0.ckpt"),
+                     "--audio", str(clip),
+                     "--out-file", str(tmp_path / "events.txt")]) == 2
+        err = capsys.readouterr().err
+        assert "44100 Hz" in err and "16000 Hz" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "events.txt").exists()
+
+    def test_evaluate_refuses_a_checkpoint_at_another_rate(self, workspace,
+                                                          capsys):
+        out = _trained_copy(workspace, "out_rate_edited")
+        path = out / "models" / "park" / "fold1.ckpt"
+        ckpt = load_checkpoint(path)
+        assert ckpt.sample_rate == 16000
+        ckpt.sample_rate = 22050
+        save_checkpoint(path, ckpt)
+        code, err = _evaluate(out, capsys)
+        assert code == 2
+        assert "fold 1" in err and "22050 Hz" in err and "16000 Hz" in err
+        assert not (out / "evaluation").exists()
+
+    @pytest.mark.parametrize("value", ["16000", 0])
+    def test_a_sample_rate_that_is_not_a_positive_integer_is_refused(
+            self, workspace, capsys, value):
+        out = _trained_copy(workspace, f"out_manifest_rate_{value}")
+        manifest_path = out / "features" / "park" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["sample_rate"] == 16000
+        manifest["sample_rate"] = value
+        manifest_path.write_text(json.dumps(manifest))
+        before = _tree(out)
+        for command in ("train", "evaluate"):
+            capsys.readouterr()
+            assert main([command, "--config", str(workspace / "run.json"),
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"malformed manifest {manifest_path}" in err
+            assert "re-run the extract command" in err
+        assert _tree(out) == before
+
+    def test_a_hop_of_a_fractional_sample_count_is_refused(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        odd = _synth(tmp_path / "data", "odd", 11025, 4, recordings=2)
+        ckpt = load_checkpoint(workspace / "out" / "models" / "park" /
+                               "fold0.ckpt")
+        ckpt.sample_rate = 11025
+        model = tmp_path / "model_11025.ckpt"
+        save_checkpoint(model, ckpt)
+        # Refused before any STFT or TDOA work.
+        monkeypatch.setattr(features, "stft", lambda *a, **k: 1 / 0)
+        monkeypatch.setattr(features, "extract_tdoa", lambda *a, **k: 1 / 0)
+        for command in (["extract", "--data-root", str(tmp_path / "data"),
+                         "--context", "odd", "--out", str(tmp_path / "out")],
+                        ["detect", "--checkpoint", str(model),
+                         "--audio", str(odd / "audio" / "rec000.wav")]):
+            capsys.readouterr()
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert "20.0 ms hop at 11025 Hz is 220.5 samples" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(DataError, match="220.5 samples"):
+            features.extract_block_values(decode_wav(odd / "audio" /
+                                                     "rec000.wav"), ["mel_1"])
+
+    def test_rates_with_a_whole_sample_hop_extract(self, tmp_path):
+        for rate, hop in ((22050, 441), (44100, 882)):
+            context = f"rate{rate}"
+            _synth(tmp_path / "data", context, rate, 6, recordings=2)
+            assert main(["extract", "--data-root", str(tmp_path / "data"),
+                         "--context", context, "--out", str(tmp_path / "out"),
+                         "--features", "mel_2;tdoa;pitch_2"]) == 0
+            data = read_context_features(
+                RunConfig(out_dir=str(tmp_path / "out")), context)
+            assert data.sample_rate == rate
+            assert FrameGrid().hop_samples(rate) == hop
+            # 2 s of 40 ms frames on a 20 ms hop.
+            assert data.features["rec000"].frame_count == 99
 
 
 def _python(code, **env_overrides):

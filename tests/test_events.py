@@ -16,7 +16,6 @@ class TestParsing:
         events = parse_annotations(path)
         assert events.events == [Event(0.5, 1.25, "dog bark"),
                                  Event(2.0, 3.0, "car")]
-        assert events.labels == ("car", "dog bark")
 
     def test_whitespace_fallback_and_blank_lines(self, tmp_path):
         path = tmp_path / "ann.txt"

@@ -249,7 +249,7 @@ class TestOnePassPerSpectrum:
         calls = []
 
         def counting(spec, *args, **kwargs):
-            calls.append(spec.channel_index)
+            calls.append(spec)
             return extract_pitch(spec, *args, **kwargs)
 
         monkeypatch.setattr(binsed.features, "extract_pitch", counting)

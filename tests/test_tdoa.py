@@ -63,14 +63,11 @@ class TestGccPhatBand:
         fft_size = 256
         bins = fft_size // 2 + 1
         fb = build_mel_filterbank(5, fft_size, 16000)
-        grid = FrameGrid()
         for trial in range(40):
             x1 = rng.standard_normal((1, bins)) + 1j * rng.standard_normal((1, bins))
             x2 = rng.standard_normal((1, bins)) + 1j * rng.standard_normal((1, bins))
-            s1 = Spectrogram(bins=x1, fft_size=fft_size, sample_rate=16000,
-                             grid=grid)
-            s2 = Spectrogram(bins=x2, fft_size=fft_size, sample_rate=16000,
-                             grid=grid)
+            s1 = Spectrogram(bins=x1, fft_size=fft_size, sample_rate=16000)
+            s2 = Spectrogram(bins=x2, fft_size=fft_size, sample_rate=16000)
             band = int(rng.integers(0, 5))
             max_lag = int(rng.integers(1, 30))
             got = gcc_phat_band(s1, s2, fb, 0, band, max_lag)
@@ -153,9 +150,8 @@ class TestGccPhatBand:
         x1 = np.fft.rfft(n)[None, :]
         x2 = np.fft.rfft(x2_time)[None, :]
         fb = build_mel_filterbank(1, fft_size, 16000)
-        grid = FrameGrid()
-        s1 = Spectrogram(bins=x1, fft_size=fft_size, sample_rate=16000, grid=grid)
-        s2 = Spectrogram(bins=x2, fft_size=fft_size, sample_rate=16000, grid=grid)
+        s1 = Spectrogram(bins=x1, fft_size=fft_size, sample_rate=16000)
+        s2 = Spectrogram(bins=x2, fft_size=fft_size, sample_rate=16000)
         got = gcc_phat_band(s1, s2, fb, 0, 0, 10)
         want = naive_band_delay(x1[0], x2[0], fb.weights[0], fft_size, 10)
         assert got == want
