@@ -126,12 +126,13 @@ def stft(clip: AudioClip, grid: FrameGrid | None = None) -> tuple[Spectrogram, .
     window = periodic_hamming(frame)
     out = []
     for ch in range(clip.channel_count):
-        frames = _frame_signal(clip.samples[ch], frame, hop) * window
+        frames = _frame_signal(clip.samples[ch], frame, hop)
         bins = np.empty((frames.shape[0], fft_size // 2 + 1), dtype=np.complex128)
-        chunk = 4096
+        # Windowed chunk by chunk: no windowed copy of the channel is held.
+        chunk = 256
         for start in range(0, frames.shape[0], chunk):
-            bins[start:start + chunk] = np.fft.rfft(frames[start:start + chunk],
-                                                    n=fft_size, axis=1)
+            np.fft.rfft(frames[start:start + chunk] * window, n=fft_size,
+                        axis=1, out=bins[start:start + chunk])
         out.append(Spectrogram(bins=bins, fft_size=fft_size,
                                sample_rate=clip.sample_rate))
     return tuple(out)
@@ -156,8 +157,10 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
-def decode_wav(path: str | os.PathLike) -> AudioClip:
-    """Decode an uncompressed PCM RIFF/WAVE file (16- or 24-bit, 1-2 channels)."""
+def _wav_chunks(path: str | os.PathLike,
+                read_data: bool = True) -> tuple[bytes, bytes | None]:
+    """The ``fmt `` chunk of a RIFF/WAVE file and, if ``read_data``, its
+    ``data`` chunk (None if it has none); other chunks are skipped."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -175,18 +178,21 @@ def decode_wav(path: str | os.PathLike) -> AudioClip:
             chunk_id, chunk_size = struct.unpack("<4sI", chunk_header)
             if chunk_id == b"fmt ":
                 fmt = _read_exact(fh, chunk_size, "fmt chunk")
-            elif chunk_id == b"data":
+            elif chunk_id == b"data" and read_data:
                 data = _read_exact(fh, chunk_size, "data chunk")
             else:
                 fh.seek(chunk_size, os.SEEK_CUR)
             if chunk_size % 2:  # chunks are word-aligned
                 fh.seek(1, os.SEEK_CUR)
-            if fmt is not None and data is not None:
+            if fmt is not None and (data is not None or not read_data):
                 break
     if fmt is None or len(fmt) < 16:
         raise AudioFormatError(f"unreadable WAV file: missing fmt chunk ({path})")
-    if data is None:
-        raise AudioFormatError(f"unreadable WAV file: missing data chunk ({path})")
+    return fmt, data
+
+
+def _wav_format(fmt: bytes, path: str | os.PathLike) -> tuple[int, int, int]:
+    """(channels, sample_rate, bits) of a ``fmt `` chunk this codec reads."""
     (audio_format, channels, sample_rate, _byte_rate,
      block_align, bits) = struct.unpack("<HHIIHH", fmt[:16])
     if audio_format == _WAVE_FORMAT_EXTENSIBLE and len(fmt) >= 26:
@@ -202,24 +208,38 @@ def decode_wav(path: str | os.PathLike) -> AudioClip:
         raise AudioFormatError(f"unsupported WAV encoding: {channels} channels")
     if sample_rate == 0:
         raise AudioFormatError(f"unsupported WAV encoding: sample rate 0 ({path})")
-    bytes_per_sample = bits // 8
-    if block_align and block_align != bytes_per_sample * channels:
+    if block_align and block_align != bits // 8 * channels:
         raise AudioFormatError("unsupported WAV encoding: unexpected block alignment")
-    frame_bytes = bytes_per_sample * channels
+    return channels, sample_rate, bits
+
+
+def wav_sample_rate(path: str | os.PathLike) -> int:
+    """The sample rate of a WAV file ``decode_wav`` reads, from its ``fmt ``
+    chunk alone."""
+    return _wav_format(_wav_chunks(path, read_data=False)[0], path)[1]
+
+
+def decode_wav(path: str | os.PathLike) -> AudioClip:
+    """Decode an uncompressed PCM RIFF/WAVE file (16- or 24-bit, 1-2 channels)."""
+    fmt, data = _wav_chunks(path)
+    if data is None:
+        raise AudioFormatError(f"unreadable WAV file: missing data chunk ({path})")
+    channels, sample_rate, bits = _wav_format(fmt, path)
+    frame_bytes = bits // 8 * channels
     usable = len(data) - len(data) % frame_bytes
     if usable == 0:
         raise AudioFormatError(f"zero-length audio: no samples in {path}")
-    data = data[:usable]
     if bits == 16:
-        flat = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+        as_int = np.frombuffer(data, dtype="<i2", count=usable // 2)
     else:
-        raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
+        raw = np.frombuffer(data, dtype=np.uint8, count=usable).reshape(-1, 3)
         as_int = (raw[:, 0].astype(np.int32)
                   | (raw[:, 1].astype(np.int32) << 8)
                   | (raw[:, 2].astype(np.int32) << 16))
         as_int = np.where(as_int >= 1 << 23, as_int - (1 << 24), as_int)
-        flat = as_int.astype(np.float64) / float(1 << 23)
-    samples = flat.reshape(-1, channels).T.copy()
+    # One float array, converted from the deinterleaving view.
+    samples = as_int.reshape(-1, channels).T.astype(np.float64, order="C")
+    samples /= float(1 << (bits - 1))
     return AudioClip(samples=samples, sample_rate=sample_rate)
 
 

@@ -128,7 +128,7 @@ def _mel_filterbank(band_count: int, fft_size: int,
 
 def extract_block_values(clip: AudioClip, tokens: list[str],
                          config: FeatureConfig | None = None) -> FeatureMatrix:
-    """Extract several blocks at once, sharing STFTs between them.
+    """Extract several blocks at once, holding one spectrum at a time.
 
     This is the one place block columns are stacked: the layout is
     ``combination_layout`` of ``tokens``, and the values are rounded once
@@ -155,44 +155,52 @@ def extract_block_values(clip: AudioClip, tokens: list[str],
                         f"{clip.sample_rate} Hz is {hop} samples, not a "
                         "whole number")
 
-    @functools.cache
-    def spectra(channels: int) -> tuple[Spectrogram, ...]:
-        if channels == 2:
-            return stft(clip, config.grid)
-        mono = downmix_to_mono(clip) if clip.channel_count == 2 else clip
-        return stft(mono, config.grid)
+    def source(channels: int, index: int) -> AudioClip:
+        """The one channel a spectrum is taken from."""
+        if channels == 1 and clip.channel_count == 2:
+            return downmix_to_mono(clip)
+        return AudioClip(samples=clip.samples[index:index + 1],
+                         sample_rate=clip.sample_rate)
 
-    # A pitch block is the first (frequency, periodicity) pair of pitch3, so
-    # one top-3 pass per spectrum serves both.
-    @functools.cache
-    def pitch3(channels: int, channel: int) -> np.ndarray:
-        return extract_pitch(spectra(channels)[channel], top_k=3,
-                             f_min=config.pitch_f_min, f_max=config.pitch_f_max,
-                             threshold=config.pitch_threshold).values
+    def spectrum_blocks(spectrum: Spectrogram,
+                        families: set[str]) -> dict[str, np.ndarray]:
+        """Every block of ``families`` that reads ``spectrum``."""
+        blocks = {}
+        if "mel" in families:
+            filterbank = _mel_filterbank(config.mel_bands, spectrum.fft_size,
+                                         spectrum.sample_rate)
+            blocks["mel"] = extract_log_mel(spectrum, filterbank,
+                                            floor=config.log_floor).values
+        if families & {"pitch", "pitch3"}:
+            # A pitch block is the first (frequency, periodicity) pair of
+            # pitch3, so one top-3 pass serves both.
+            top3 = extract_pitch(spectrum, top_k=3, f_min=config.pitch_f_min,
+                                 f_max=config.pitch_f_max,
+                                 threshold=config.pitch_threshold).values
+            blocks.update(pitch3=top3, pitch=top3[:, :2])
+        return blocks
 
-    delays: dict[str, np.ndarray] = {}
+    values: dict[str, list[np.ndarray]] = {}
     if any(s.family in _STEREO_FAMILIES for s in specs):
         # Both delay variants come from one (frames, windows, bands) stack.
         tdoa3 = extract_tdoa(clip, variant="tdoa3", config=config.tdoa,
                              grid=config.grid).values
-        delays = {"tdoa3": tdoa3,
-                  "tdoa": collapse_windows(tdoa3, config.tdoa.band_count)}
-    columns = []
-    for spec in specs:
-        if spec.family in _STEREO_FAMILIES:
-            columns.append(delays[spec.family])
-            continue
-        # Per-channel blocks: left columns first, then right.
-        for channel, ch_spec in enumerate(spectra(spec.channels)):
-            if spec.family == "mel":
-                filterbank = _mel_filterbank(config.mel_bands, ch_spec.fft_size,
-                                             ch_spec.sample_rate)
-                columns.append(extract_log_mel(ch_spec, filterbank,
-                                               floor=config.log_floor).values)
-            else:
-                top3 = pitch3(spec.channels, channel)
-                columns.append(top3 if spec.family == "pitch3" else top3[:, :2])
-    return FeatureMatrix(values=np.hstack(columns).astype(np.float32),
+        values = {"tdoa3": [tdoa3],
+                  "tdoa": [collapse_windows(tdoa3, config.tdoa.band_count)]}
+    # One spectrum at a time (the mono downmix's, the left channel's, the
+    # right channel's), dropped once every block that reads it is computed;
+    # per-channel blocks list the left channel's columns first.
+    for channels, index in ((1, 0), (2, 0), (2, 1)):
+        families = {s.family for s in specs
+                    if s.family in _CHANNEL_FAMILIES and s.channels == channels}
+        if families:
+            blocks = spectrum_blocks(
+                stft(source(channels, index), config.grid)[0], families)
+            for family in families:
+                values.setdefault(f"{family}_{channels}", []).append(
+                    blocks[family])
+    columns = [column for spec in specs for column in values[spec.token]]
+    return FeatureMatrix(values=np.hstack(columns, dtype=np.float32),
                          layout=layout)
 
 

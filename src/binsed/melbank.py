@@ -64,8 +64,10 @@ def extract_log_mel(spec: Spectrogram, filterbank: MelFilterbank,
                          f"match spectrogram fft_size {spec.fft_size}")
     if filterbank.sample_rate != spec.sample_rate:
         raise ValueError("filterbank and spectrogram sample rates differ")
-    power = spec.bins.real ** 2 + spec.bins.imag ** 2
+    power = spec.bins.real ** 2
+    power += spec.bins.imag ** 2
     energies = power @ filterbank.weights.T
-    values = np.log(energies + floor)
+    energies += floor
+    values = np.log(energies, out=energies)
     layout = FeatureLayout((("mel", filterbank.band_count),))
     return FeatureMatrix(values=values, layout=layout)

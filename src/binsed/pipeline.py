@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import parallel
-from .audio import AudioClip, decode_wav
+from .audio import AudioClip, decode_wav, wav_sample_rate
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .container import atomic_write_bytes, export_csv, read_features, write_features
@@ -115,7 +115,8 @@ def extract_context(config: RunConfig, context: str,
     ``tokens`` replaces ``config.features`` as the extracted block set (the
     ablation grid extracts its widest set once).  The recorded combination
     names the extracted blocks, so it always matches the columns.  A
-    recording at another sample rate than the first is a DataError.
+    recording at another sample rate than the first is a DataError, raised
+    from the WAV headers before any audio is decoded.
     """
     wanted = list(tokens) if tokens else \
         [s.token for s in parse_combination(config.features)]
@@ -125,18 +126,19 @@ def extract_context(config: RunConfig, context: str,
                                              context=context)
                    for r in recordings}
     class_order = context_class_order(list(event_lists.values()))
-    features: dict[str, FeatureMatrix] = {}
-    rolls: dict[str, EventRoll] = {}
-    for recording in recordings:
-        clip = decode_wav(recording.wav_path)
-        if recording is recordings[0]:
-            sample_rate = clip.sample_rate
-        elif clip.sample_rate != sample_rate:
+    sample_rate = wav_sample_rate(recordings[0].wav_path)
+    for recording in recordings[1:]:
+        rate = wav_sample_rate(recording.wav_path)
+        if rate != sample_rate:
             raise DataError(f"recordings of context {context!r} differ in "
                             f"sample rate: {recordings[0].name!r} is at "
                             f"{sample_rate} Hz, {recording.name!r} at "
-                            f"{clip.sample_rate} Hz")
-        matrix = extract_block_values(clip, wanted, feature_config)
+                            f"{rate} Hz")
+    features: dict[str, FeatureMatrix] = {}
+    rolls: dict[str, EventRoll] = {}
+    for recording in recordings:
+        matrix = extract_block_values(decode_wav(recording.wav_path), wanted,
+                                      feature_config)
         features[recording.name] = matrix
         rolls[recording.name] = rasterize(event_lists[recording.name],
                                           matrix.frame_count, class_order,

@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from binsed.audio import (AudioClip, FrameGrid, decode_wav, downmix_to_mono,
-                          encode_wav, next_pow2, periodic_hamming, stft)
+                          encode_wav, next_pow2, periodic_hamming, stft,
+                          wav_sample_rate)
 from binsed.errors import AudioFormatError, DataError
 
 
@@ -60,6 +62,37 @@ class TestWavCodec:
         redecoded = decode_wav(second)
         assert np.array_equal(decoded.samples, redecoded.samples)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_a_20_s_stereo_file_decodes_into_one_float_array(self,
+                                                              tmp_path):
+        rng = np.random.default_rng(13)
+        path = tmp_path / "x.wav"
+        encode_wav(path, AudioClip(samples=rng.uniform(-0.9, 0.9,
+                                                       size=(2, 20 * 16000)),
+                                   sample_rate=16000))
+        tracemalloc.start()
+        try:
+            clip = decode_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clip.samples.flags.c_contiguous
+        # The file's bytes and the samples, with room for no second copy.
+        assert peak < path.stat().st_size + 1.25 * clip.samples.nbytes
+
+    def test_sample_rate_from_the_header_alone(self, tmp_path):
+        path = tmp_path / "x.wav"
+        whole = _wav_bytes(b"\x00\x00" * 8, sample_rate=22050)
+        path.write_bytes(whole[:-4])  # the data chunk is cut short
+        assert wav_sample_rate(path) == 22050
+        with pytest.raises(AudioFormatError, match="truncated data chunk"):
+            decode_wav(path)
+        path.write_bytes(_wav_bytes(b"\x00\x00", format_tag=3))
+        with pytest.raises(AudioFormatError, match="unsupported"):
+            wav_sample_rate(path)
+        path.write_bytes(whole[:12] + whole[36:])  # no fmt chunk
+        with pytest.raises(AudioFormatError, match="missing fmt chunk"):
+            wav_sample_rate(path)
 
     def test_unreadable_diagnostic(self, tmp_path):
         path = tmp_path / "x.wav"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import binsed
-from binsed import cli, features
+from binsed import cli, features, pipeline
 from binsed.audio import AudioClip, FrameGrid, decode_wav, encode_wav
 from binsed.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from binsed.cli import main
@@ -1070,6 +1070,23 @@ class TestSampleRates:
         assert "'rec000' is at 16000 Hz, 'rec002' at 44100 Hz" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_a_mixed_context_is_refused_before_any_extraction(
+            self, tmp_path, capsys, monkeypatch):
+        mixed = _synth(tmp_path / "data", "mixed", 16000, 1, recordings=2)
+        odd = _synth(tmp_path / "data44", "mixed", 44100, 2)
+        for part, suffix in (("audio", ".wav"), ("annotations", ".txt")):
+            shutil.copy(odd / part / f"rec000{suffix}",
+                        mixed / part / f"rec002{suffix}")
+        extracted = []
+        monkeypatch.setattr(pipeline, "extract_block_values",
+                            lambda clip, *a, **k: extracted.append(clip))
+        capsys.readouterr()
+        assert main(["extract", "--data-root", str(tmp_path / "data"),
+                     "--context", "mixed", "--out", str(tmp_path / "out")]) == 2
+        assert "'rec000' is at 16000 Hz, 'rec002' at 44100 Hz" \
+            in capsys.readouterr().err
+        assert extracted == []
 
     def test_contexts_extracted_at_different_rates_are_refused(
             self, tmp_path, capsys):

@@ -1,9 +1,12 @@
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from binsed.audio import AudioClip, FrameGrid
+from binsed import features
+from binsed.audio import AudioClip, FrameGrid, stft
 from binsed.container import read_features, write_features
 from binsed.errors import DataError
 from binsed.features import (ABLATION_COMBINATIONS, FeatureConfig,
@@ -127,7 +130,9 @@ class TestAssembly:
                                                  clip.samples[0]]),
                               sample_rate=clip.sample_rate)
         left = assemble_features(left_clip, "mel_1")
-        assert np.allclose(both.values[:, :40], left.values)
+        # The downmix of two equal channels is exact, so both paths
+        # transform the same samples.
+        assert np.array_equal(both.values[:, :40], left.values)
 
     def test_mono_downmix_blocks(self):
         clip = _stereo_clip()
@@ -197,3 +202,42 @@ class TestAssembly:
         config = FeatureConfig(pitch_f_max=3000.0)
         assert extract_block_values(clip, tokens, config).frame_count > 0
         assert extract_block_values(clip, ["mel_2", "tdoa"]).frame_count > 0
+
+
+class TestOneSpectrumAtATime:
+    EIGHT_BLOCKS = ["mel_1", "mel_2", "pitch_1", "pitch_2", "pitch3_1",
+                    "pitch3_2", "tdoa", "tdoa3"]
+
+    def test_no_spectrum_is_alive_when_the_next_is_computed(self,
+                                                            monkeypatch):
+        refs = []
+
+        def spy(clip, grid=None):
+            assert all(ref() is None for ref in refs)
+            spectra = stft(clip, grid)
+            refs.extend(weakref.ref(obj) for spectrum in spectra
+                        for obj in (spectrum, spectrum.bins))
+            return spectra
+
+        monkeypatch.setattr(features, "stft", spy)
+        extract_block_values(_stereo_clip(), self.EIGHT_BLOCKS)
+        # The mono downmix's, the left channel's and the right channel's.
+        assert len(refs) == 6
+        assert all(ref() is None for ref in refs)
+
+    def test_a_20_s_clip_peaks_under_3_spectra(self):
+        # The spectrum being read (1x) and the pitch pass's magnitude and
+        # peak arrays (about 1.4x on noise) set the peak; the three spectra
+        # of mono, left and right held at once took 4.7x.
+        clip = _stereo_clip(seconds=20.0)
+        tokens = ["mel_1", "mel_2", "pitch3_1", "pitch3_2"]
+        extract_block_values(clip, tokens)  # filterbank and FFT plans cached
+        spectrum = stft(AudioClip(samples=clip.samples[:1],
+                                  sample_rate=clip.sample_rate))[0].bins.nbytes
+        tracemalloc.start()
+        try:
+            extract_block_values(clip, tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * spectrum
