@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import parallel
-from .audio import AudioClip, decode_wav, wav_sample_rate
+from .audio import decode_wav, wav_sample_rate
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .container import atomic_write_bytes, export_csv, read_features, write_features
