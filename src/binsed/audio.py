@@ -19,6 +19,7 @@ from .errors import AudioFormatError, DataError
 
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+_FRAMES_PER_CHUNK = 4096  # 24-bit decoding: 32 KiB of int32 per stereo chunk
 
 
 @dataclass(frozen=True)
@@ -231,14 +232,23 @@ def decode_wav(path: str | os.PathLike) -> AudioClip:
         raise AudioFormatError(f"zero-length audio: no samples in {path}")
     if bits == 16:
         as_int = np.frombuffer(data, dtype="<i2", count=usable // 2)
+        # One float array, converted from the deinterleaving view.
+        samples = as_int.reshape(-1, channels).T.astype(np.float64, order="C")
     else:
-        raw = np.frombuffer(data, dtype=np.uint8, count=usable).reshape(-1, 3)
-        as_int = (raw[:, 0].astype(np.int32)
-                  | (raw[:, 1].astype(np.int32) << 8)
-                  | (raw[:, 2].astype(np.int32) << 16))
-        as_int = np.where(as_int >= 1 << 23, as_int - (1 << 24), as_int)
-    # One float array, converted from the deinterleaving view.
-    samples = as_int.reshape(-1, channels).T.astype(np.float64, order="C")
+        raw = np.frombuffer(data, dtype=np.uint8, count=usable)
+        raw = raw.reshape(-1, channels, 3)
+        samples = np.empty((channels, len(raw)))
+        # Assembled a few thousand frames at a time straight into the float
+        # array, so no whole-clip integer copy is held; the signed top byte
+        # carries the sign.
+        for start in range(0, len(raw), _FRAMES_PER_CHUNK):
+            chunk = raw[start:start + _FRAMES_PER_CHUNK]
+            value = chunk[..., 2].view(np.int8).astype(np.int32)
+            value <<= 8
+            value |= chunk[..., 1]
+            value <<= 8
+            value |= chunk[..., 0]
+            samples[:, start:start + _FRAMES_PER_CHUNK] = value.T
     samples /= float(1 << (bits - 1))
     return AudioClip(samples=samples, sample_rate=sample_rate)
 

@@ -6,7 +6,9 @@ write the resolved configuration into the output directory.  Later commands
 read the records artefacts hold instead: train the manifest's feature
 settings, evaluate each checkpoint's split and settings (and only out_dir,
 contexts and macro_average from a config), detect all from its checkpoint.
-train and ablate train every fold of the command on one process pool.
+train and ablate train every fold of the command on one process pool of one
+worker per CPU, or up to two per CPU where one per CPU would leave a core
+idle in the pool's last round (see ``parallel.pool_size``).
 Exit codes: 0 success, 1 usage error, 2 data error, 3 training failure.
 """
 

@@ -24,7 +24,10 @@ checkpoint record: features and models follow the rate they were made at.
 
 ``train_runs`` trains every fold of a ``train`` or ``ablate`` command on one
 pool of forked processes, writes each fold's files in job order and then
-yields its checkpoint, which it keeps no longer than the next fold's.
+yields its checkpoint, which it keeps no longer than the next fold's.  The
+pool holds ``parallel.pool_size`` workers: one per CPU, or up to two per CPU
+where that leaves no core idle in the last round (3 folds on 2 CPUs take 3
+workers).
 """
 
 from __future__ import annotations
@@ -377,12 +380,14 @@ def train_runs(runs: list[tuple[RunConfig, ContextData]]) -> Iterator[Checkpoint
     """Check every fold's coverage, then return the generator that trains
     and saves every fold of each run: a context, trained on the combination
     its config's ``features`` names.  All folds train on one pool of forked
-    processes, one per CPU up to the job count.  Each draws from its own
-    ``fold_seed``, so the results do not depend on the worker count.  The
-    generator yields each fold's checkpoint in job order once its files are
-    written, and holds none past the next yield.  When a job raises, or the
-    caller closes the generator, the jobs before it are saved, nothing after
-    them is, the folds still training are stopped and the rest cancelled.
+    processes, sized by ``parallel.pool_size``: one per CPU up to the job
+    count, or more, up to two per CPU, when that keeps every core busy in the
+    last round.  Each draws from its own ``fold_seed``, so the results do not
+    depend on the worker count.  The generator yields each fold's checkpoint
+    in job order once its files are written, and holds none past the next
+    yield.  When a job raises, or the caller closes the generator, the jobs
+    before it are saved, nothing after them is, the folds still training are
+    stopped and the rest cancelled.
     """
     return _train_jobs([(config, data, split) for config, data in runs
                         for split in context_folds(config, data)])
@@ -398,9 +403,10 @@ def _train_jobs(jobs: list[tuple[RunConfig, ContextData, FoldSplit]]
 
     _jobs[:] = jobs
     existing = set(multiprocessing.active_children())
+    workers = parallel.pool_size(len(_jobs), parallel.cpu_count())
     # Forked workers inherit the jobs and BLAS thread settings: the pool forks
     # them all at its first submit, before it starts any thread of its own.
-    with ProcessPoolExecutor(max_workers=min(parallel.cpu_count(), len(_jobs)),
+    with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_fold_worker) as pool:
         try:

@@ -80,6 +80,26 @@ class TestWavCodec:
         # The file's bytes and the samples, with room for no second copy.
         assert peak < path.stat().st_size + 1.25 * clip.samples.nbytes
 
+    def test_a_20_s_stereo_24bit_file_decodes_into_one_float_array(
+            self, tmp_path):
+        rng = np.random.default_rng(17)
+        values = rng.integers(-(1 << 23), 1 << 23, size=(20 * 16000, 2),
+                              dtype=np.int32)
+        values[:2] = [[-(1 << 23), (1 << 23) - 1], [-1, 0]]
+        payload = values.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3]
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_bytes(payload.tobytes(), channels=2, bits=24))
+        tracemalloc.start()
+        try:
+            clip = decode_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clip.samples.flags.c_contiguous
+        assert np.array_equal(clip.samples, values.T / float(1 << 23))
+        # The bound of the 16-bit file: no whole-clip integer copy.
+        assert peak < path.stat().st_size + 1.25 * clip.samples.nbytes
+
     def test_sample_rate_from_the_header_alone(self, tmp_path):
         path = tmp_path / "x.wav"
         whole = _wav_bytes(b"\x00\x00" * 8, sample_rate=22050)

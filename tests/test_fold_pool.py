@@ -129,11 +129,12 @@ class TestWorkerCount:
             out = corpus / f"workers{cpus}"
             pipeline.train_context(_config(corpus, out), data)
             assert _model_files(out) == want, cpus
-        # One worker per CPU, never more than the three folds.
-        assert sizes == [1, 2, 3, 3]
+        # Three folds on two CPUs take three workers, so the last round
+        # leaves no core idle; never more workers than the three folds.
+        assert sizes == [1, 3, 3, 3]
 
-    def test_cli_train_identical_with_one_and_two_workers(self, corpus,
-                                                          monkeypatch):
+    def test_cli_train_identical_on_one_and_two_cpus(self, corpus,
+                                                     monkeypatch):
         runs = []
         for cpus in (1, 2):
             _force_cpus(monkeypatch, cpus)
@@ -142,6 +143,32 @@ class TestWorkerCount:
                          "--out", str(out)]) == 0
             runs.append(_model_files(out))
         assert runs[0] == runs[1] and len(runs[0]) == 6
+
+
+class TestPoolSize:
+    """``parallel.pool_size`` against its rule, over CPU and job counts."""
+
+    @pytest.mark.parametrize("jobs,cpus,workers", [
+        (3, 2, 3), (4, 2, 2), (6, 2, 2), (42, 2, 2), (5, 2, 3), (7, 2, 4),
+        (3, 1, 1), (42, 1, 1), (1, 2, 1), (2, 4, 2), (5, 4, 5), (6, 4, 6)])
+    def test_values(self, jobs, cpus, workers):
+        assert parallel.pool_size(jobs, cpus) == workers
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 64])
+    def test_rule(self, cpus):
+        for jobs in range(1, 101):
+            workers = parallel.pool_size(jobs, cpus)
+            fewest = min(cpus, jobs)
+            assert fewest <= workers <= min(jobs, 2 * cpus), (jobs, cpus)
+            if cpus == 1 or jobs % cpus == 0:
+                assert workers == fewest, (jobs, cpus)
+            if workers > fewest:
+                # Every core busy until the pool ends ...
+                last_round = jobs % workers
+                assert last_round == 0 or last_round >= cpus, (jobs, cpus)
+                # ... from the fewest workers that manage it.
+                for fewer in range(fewest, workers):
+                    assert 0 < jobs % fewer < cpus, (jobs, cpus, fewer)
 
 
 class TestOnePool:
